@@ -7,12 +7,18 @@
 // (a set bit marks the slot where an object's header starts) and the
 // reference-map (a set bit marks a slot that holds a pointer).  Both have one
 // bit per 8-byte slot.
+//
+// Backing: the kSegmentBytes of an image are one private anonymous mapping
+// reserved without swap (MAP_NORESERVE), so a page costs memory only once it
+// is touched, as with the paper's VM-mapped segments.  Bytes never written
+// read as zero.  The mapping is address-stable: bytes(), HeaderOf() and
+// SlotPtr() pointers stay valid for the image's lifetime.  An image owns its
+// mapping, so it is neither copyable nor movable.
 
 #ifndef SRC_MEM_SEGMENT_H_
 #define SRC_MEM_SEGMENT_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bitmap.h"
 #include "src/common/types.h"
@@ -22,19 +28,17 @@ namespace bmx {
 
 class SegmentImage {
  public:
-  SegmentImage(SegmentId id, BunchId bunch)
-      : id_(id),
-        bunch_(bunch),
-        bytes_(kSegmentBytes, 0),
-        object_map_(kSlotsPerSegment),
-        ref_map_(kSlotsPerSegment) {}
+  SegmentImage(SegmentId id, BunchId bunch);
+  ~SegmentImage();
+  SegmentImage(const SegmentImage&) = delete;
+  SegmentImage& operator=(const SegmentImage&) = delete;
 
   SegmentId id() const { return id_; }
   BunchId bunch() const { return bunch_; }
   Gaddr base() const { return SegmentBase(id_); }
 
-  uint8_t* bytes() { return bytes_.data(); }
-  const uint8_t* bytes() const { return bytes_.data(); }
+  uint8_t* bytes() { return bytes_; }
+  const uint8_t* bytes() const { return bytes_; }
 
   Bitmap& object_map() { return object_map_; }
   const Bitmap& object_map() const { return object_map_; }
@@ -47,7 +51,7 @@ class SegmentImage {
   ObjectHeader* HeaderOf(Gaddr obj_addr) {
     size_t off = OffsetInSegment(obj_addr);
     BMX_CHECK_GE(off, kHeaderBytes);
-    return reinterpret_cast<ObjectHeader*>(bytes_.data() + off - kHeaderBytes);
+    return reinterpret_cast<ObjectHeader*>(bytes_ + off - kHeaderBytes);
   }
   const ObjectHeader* HeaderOf(Gaddr obj_addr) const {
     return const_cast<SegmentImage*>(this)->HeaderOf(obj_addr);
@@ -56,7 +60,7 @@ class SegmentImage {
   uint64_t* SlotPtr(Gaddr obj_addr, size_t slot) {
     size_t off = OffsetInSegment(obj_addr) + slot * kSlotBytes;
     BMX_CHECK_LT(off, kSegmentBytes);
-    return reinterpret_cast<uint64_t*>(bytes_.data() + off);
+    return reinterpret_cast<uint64_t*>(bytes_ + off);
   }
 
   size_t SlotIndexOf(Gaddr addr) const { return OffsetInSegment(addr) / kSlotBytes; }
@@ -88,7 +92,7 @@ class SegmentImage {
     perf.words_skipped += object_map_.ForEachSetInRange(0, object_map_.size(), [&](size_t bit) {
       perf.objects_walked++;
       size_t header_off = bit * kSlotBytes;
-      auto* header = reinterpret_cast<ObjectHeader*>(bytes_.data() + header_off);
+      auto* header = reinterpret_cast<ObjectHeader*>(bytes_ + header_off);
       Gaddr obj_addr = base() + header_off + kHeaderBytes;
       fn(obj_addr, *header);
     });
@@ -106,7 +110,7 @@ class SegmentImage {
     perf.words_skipped += ref_map_.ForEachSetInRange(first, first + size_slots, [&](size_t bit) {
       perf.ref_slots_visited++;
       const uint64_t* p =
-          reinterpret_cast<const uint64_t*>(bytes_.data() + bit * kSlotBytes);
+          reinterpret_cast<const uint64_t*>(bytes_ + bit * kSlotBytes);
       fn(bit - first, *p);
     });
   }
@@ -114,7 +118,7 @@ class SegmentImage {
  private:
   SegmentId id_;
   BunchId bunch_;
-  std::vector<uint8_t> bytes_;
+  uint8_t* bytes_;  // kSegmentBytes, mapped lazily
   Bitmap object_map_;
   Bitmap ref_map_;
   size_t cursor_ = kSlotBytes;  // slot 0 unused so no object sits at offset 0

@@ -1,5 +1,6 @@
 #include "src/runtime/persistence.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -111,9 +112,11 @@ void PersistenceManager::CheckpointSegments(const std::vector<SegmentImage*>& im
     const std::string data = DataFile(image->id());
     const std::string meta = MetaFile(image->id());
     metas.push_back(EncodeMeta(image));
-    rvm_.MapRegionAdopt(data, image->bytes(), kSegmentBytes);
+    // Only the allocated prefix is logged: every byte past the cursor of an
+    // image is zero.
+    rvm_.MapRegionAdopt(data, image->bytes(), image->allocated_bytes());
     rvm_.MapRegionAdopt(meta, metas.back().data(), metas.back().size());
-    rvm_.SetRange(tx, data, 0, kSegmentBytes);
+    rvm_.SetRange(tx, data, 0, image->allocated_bytes());
     rvm_.SetRange(tx, meta, 0, metas.back().size());
     entries.push_back({image->id(), image->bunch()});
   }
@@ -149,7 +152,7 @@ void PersistenceManager::CommitObjects(
     const std::string meta = MetaFile(image->id());
     metas.push_back(EncodeMeta(image));
     std::vector<uint8_t>& meta_buf = metas.back();
-    rvm_.MapRegionAdopt(data, image->bytes(), kSegmentBytes);
+    rvm_.MapRegionAdopt(data, image->bytes(), image->allocated_bytes());
     rvm_.MapRegionAdopt(meta, meta_buf.data(), meta_buf.size());
     // Cursor + bunch header of the meta sidecar always commit (allocations
     // move the cursor).
@@ -197,12 +200,21 @@ bool PersistenceManager::LoadSegment(SegmentImage* image) {
   if (!disk_->Exists(data) || !disk_->Exists(meta)) {
     return false;
   }
-  disk_->Read(data, 0, image->bytes(), kSegmentBytes);
-
   const std::vector<uint8_t>& raw = disk_->Contents(meta);
   size_t map_words = image->object_map().words().size();
   BMX_CHECK_EQ(raw.size(), 16 + 2 * map_words * 8) << "corrupt segment meta for " << image->id();
-  image->set_allocated_bytes(GetU64(raw.data()));
+  const size_t cursor = GetU64(raw.data());
+  BMX_CHECK_LE(cursor, kSegmentBytes) << "corrupt segment meta for " << image->id();
+  image->set_allocated_bytes(cursor);
+  // Read the whole file, which only ever grows to the largest range logged,
+  // so the image faults in just the pages that hold objects; the bytes past
+  // its end read as zero, as in a fresh image.  The file can extend past the
+  // saved cursor: a replica's object commit logs its own, lower cursor, while
+  // objects the owner checkpointed above it stay in the file.
+  const size_t len = std::min(disk_->FileSize(data), kSegmentBytes);
+  if (len > 0) {
+    disk_->Read(data, 0, image->bytes(), len);
+  }
   std::vector<uint64_t> words(map_words);
   for (size_t i = 0; i < map_words; ++i) {
     words[i] = GetU64(raw.data() + 16 + i * 8);

@@ -25,7 +25,7 @@ class PersistenceManager {
   PersistenceManager(Disk* disk, NodeId node);
 
   // Atomically persists the current contents of the given segment images
-  // (bytes + maps + cursor) in one RVM transaction.
+  // (allocated bytes + maps + cursor) in one RVM transaction.
   void CheckpointSegments(const std::vector<SegmentImage*>& images);
 
   // Object-granular durable commit: persists only the named objects' bytes
@@ -39,8 +39,8 @@ class PersistenceManager {
   // before loading segments.
   void Recover();
 
-  // Loads a segment image from its data file; returns false if the segment
-  // was never checkpointed.
+  // Loads a segment image from its data file into a fresh image; returns
+  // false if the segment was never checkpointed.
   bool LoadSegment(SegmentImage* image);
 
   // Applies the log to the data files and resets it (periodic maintenance).

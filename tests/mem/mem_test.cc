@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <vector>
+
+#include <unistd.h>
+
 #include "src/mem/directory.h"
 #include "src/mem/replica_store.h"
 #include "src/mem/segment.h"
@@ -61,6 +67,80 @@ TEST(SegmentImage, InstallAndEraseObject) {
   dst.EraseObject(target);
   size_t header_slot = (OffsetInSegment(target) - kHeaderBytes) / kSlotBytes;
   EXPECT_FALSE(dst.object_map().Test(header_slot));
+}
+
+TEST(SegmentImage, FreshImageReadsZero) {
+  SegmentImage seg(6, 1);
+  const Gaddr base = seg.base();
+  for (size_t slot : {size_t{0}, kSlotsPerSegment / 2, kSlotsPerSegment - 1}) {
+    EXPECT_EQ(*seg.SlotPtr(base, slot), 0u) << "slot " << slot;
+  }
+}
+
+TEST(SegmentImage, SlotPtrPastSegmentEndAborts) {
+  SegmentImage seg(1, 1);
+  Gaddr a = seg.Allocate(1, 1);
+  *seg.SlotPtr(seg.base(), kSlotsPerSegment - 1) = 7;  // last slot is in bounds
+  EXPECT_DEATH(seg.SlotPtr(seg.base(), kSlotsPerSegment), "BMX_CHECK failed");
+  EXPECT_DEATH(seg.SlotPtr(a, kSlotsPerSegment), "BMX_CHECK failed");
+}
+
+TEST(SegmentImage, InstallObjectPastSegmentEndAborts) {
+  SegmentImage seg(1, 1);
+  ObjectHeader header{};
+  header.oid = 9;
+  header.size_slots = 2;
+  const uint64_t slots[2] = {1, 2};
+  // Exactly fits: the data ends on the segment's last byte.
+  seg.InstallObject(MakeAddr(1, kSegmentBytes - 2 * kSlotBytes), header, slots);
+  EXPECT_EQ(seg.allocated_bytes(), kSegmentBytes);
+  // One slot further would write past the mapping.
+  EXPECT_DEATH(seg.InstallObject(MakeAddr(1, kSegmentBytes - kSlotBytes), header, slots),
+               "BMX_CHECK failed");
+}
+
+TEST(ReplicaStore, HeaderPointerSurvivesStoreGrowth) {
+  ReplicaStore store;
+  SegmentImage& img = store.GetOrCreate(1, 1);
+  Gaddr a = img.Allocate(42, 2);
+  ObjectHeader* header = store.HeaderOf(a);
+  uint64_t* slot = store.SegmentFor(a)->SlotPtr(a, 1);
+  *slot = 0xFEED;
+  for (SegmentId seg = 2; seg <= 1001; ++seg) {
+    store.GetOrCreate(seg, 1).Allocate(seg, 1);
+  }
+  EXPECT_EQ(store.HeaderOf(a), header);
+  EXPECT_EQ(header->oid, 42u);
+  EXPECT_EQ(store.ReadSlot(a, 1), 0xFEEDu);
+}
+
+// Resident set size in bytes from /proc/self/statm, or -1 if unreadable.
+long ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0;
+  long resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) {
+    return -1;
+  }
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(SegmentImage, UntouchedPagesAreNotResident) {
+  // 1024 eagerly backed images would be 256 MB resident; lazily backed ones
+  // cost a page of bytes and their two bitmaps each.
+  constexpr size_t kImages = 1024;
+  const long before = ResidentBytes();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/statm is unreadable";
+  }
+  std::vector<std::unique_ptr<SegmentImage>> images;
+  for (size_t i = 0; i < kImages; ++i) {
+    images.push_back(std::make_unique<SegmentImage>(i + 1, 1));
+    ASSERT_NE(images.back()->Allocate(i + 1, 4), kNullAddr);
+  }
+  const long grown = ResidentBytes() - before;
+  EXPECT_LT(grown, 64L << 20) << "resident set grew " << (grown >> 20) << " MB for " << kImages
+                              << " images of one small object";
 }
 
 TEST(Directory, IdsAndMembership) {
