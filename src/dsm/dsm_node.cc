@@ -1,6 +1,7 @@
 #include "src/dsm/dsm_node.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
@@ -18,56 +19,92 @@ DsmNode::DsmNode(NodeId id, Network* network, SegmentDirectory* directory, Repli
   BMX_CHECK(network_ != nullptr && directory_ != nullptr && store_ != nullptr);
 }
 
+namespace {
+
+// Waypoints of one resolution walk.  Chains are short (path compression keeps
+// them so), so the first kInline waypoints live on the stack and a walk
+// allocates only past them.
+class Waypoints {
+ public:
+  size_t size() const { return size_; }
+  Gaddr operator[](size_t i) const { return i < kInline ? inline_[i] : overflow_[i - kInline]; }
+  void push_back(Gaddr addr) {
+    if (size_ < kInline) {
+      inline_[size_] = addr;
+    } else {
+      overflow_.push_back(addr);
+    }
+    size_++;
+  }
+  bool contains(Gaddr addr) const {
+    for (size_t i = 0; i < size_; ++i) {
+      if ((*this)[i] == addr) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static constexpr size_t kInline = 16;
+  std::array<Gaddr, kInline> inline_{};
+  std::vector<Gaddr> overflow_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
+Gaddr DsmNode::NextHop(Gaddr addr) const {
+  // An in-heap forwarding header first, then a stale-forward record.
+  const ObjectHeader* header = store_->ObjectAt(addr);
+  if (header != nullptr && header->forwarded() && header->forward != addr) {
+    return header->forward;
+  }
+  auto it = stale_forward_.find(addr);
+  if (it != stale_forward_.end() && it->second != addr) {
+    return it->second;
+  }
+  if (header == nullptr) {
+    // Local chain exhausted without bytes: jump forward to the directory's
+    // canonical address (backstop for eroded local chains; resolution must
+    // stay monotonic toward newer addresses).
+    Oid oid = directory_->OidAtAddress(addr);
+    if (oid != kNullOid) {
+      Gaddr canonical = directory_->CanonicalAddressOf(oid);
+      if (canonical != kNullAddr) {
+        return canonical;
+      }
+    }
+  }
+  return addr;
+}
+
 Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
   // Forwarding chains grow by one hop per collection that moves the object;
   // path compression (pointer jumping, as any real forwarding implementation
   // does) keeps resolution O(1) amortized and chains short.
-  std::vector<Gaddr> visited;
+  Waypoints visited;
   Gaddr current = addr;
   for (int hops = 0; hops < 1024; ++hops) {
-    Gaddr next = current;
-    // One in-heap forwarding hop at a time so every waypoint is recorded.
-    if (store_->HasObjectAt(current)) {
-      const ObjectHeader* header = store_->HeaderOf(current);
-      if (header->forwarded()) {
-        next = header->forward;
-      }
-    }
+    Gaddr next = NextHop(current);
     if (next == current) {
-      auto it = stale_forward_.find(current);
-      if (it != stale_forward_.end()) {
-        next = it->second;
-      }
-    }
-    if (next == current && !store_->HasObjectAt(current)) {
-      // Local chain exhausted without bytes: jump forward to the directory's
-      // canonical address (backstop for eroded local chains; resolution must
-      // stay monotonic toward newer addresses).
-      Oid oid = directory_->OidAtAddress(current);
-      if (oid != kNullOid) {
-        Gaddr canonical = directory_->CanonicalAddressOf(oid);
-        if (canonical != kNullAddr && canonical != current) {
-          next = canonical;
-        }
-      }
-    }
-    if (next == current) {
-      // Fixed point: compress everything we walked through.  Compression is
-      // semantically invisible (it only shortens chains toward the same fixed
-      // point), but it turns this const read into a write — so it stands down
-      // while a multi-threaded parallel region is sharing this node's heap
-      // (parallel BGC phases, oracle audits).  Serial runs compress exactly
-      // as before.
-      if (TaskPool::InParallelRegion()) {
+      // Fixed point: compress everything we walked through.  A walk of at
+      // most one hop has nothing to compress — its only waypoint already
+      // names `current` through the edge the walk took — so the common
+      // direct hit returns here.  Compression is semantically invisible (it
+      // only shortens chains toward the same fixed point), but it turns this
+      // const read into a write — so it stands down while a multi-threaded
+      // parallel region is sharing this node's heap (parallel BGC phases,
+      // oracle audits).  Serial runs compress exactly as before.
+      if (visited.size() < 2 || TaskPool::InParallelRegion()) {
         return current;
       }
-      for (Gaddr waypoint : visited) {
-        if (store_->HasObjectAt(waypoint)) {
-          ObjectHeader* header = store_->HeaderOf(waypoint);
-          if (header->forwarded()) {
-            header->forward = current;
-            continue;
-          }
+      for (size_t i = 0; i < visited.size(); ++i) {
+        Gaddr waypoint = visited[i];
+        ObjectHeader* waypoint_header = store_->ObjectAt(waypoint);
+        if (waypoint_header != nullptr && waypoint_header->forwarded()) {
+          waypoint_header->forward = current;
+          continue;
         }
         auto it = stale_forward_.find(waypoint);
         if (it != stale_forward_.end()) {
@@ -76,13 +113,11 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
       }
       return current;
     }
-    for (Gaddr seen : visited) {
-      if (seen == next) {
-        // Cycle in stale-forward records (conflicting out-of-order updates):
-        // break at the current fixed point; the DSM protocol will supply
-        // fresh bytes at the next synchronization anyway.
-        return current;
-      }
+    if (visited.contains(next)) {
+      // Cycle in stale-forward records (conflicting out-of-order updates):
+      // break at the current fixed point; the DSM protocol will supply
+      // fresh bytes at the next synchronization anyway.
+      return current;
     }
     visited.push_back(current);
     current = next;
@@ -126,8 +161,8 @@ void DsmNode::AddStaleRouting(Gaddr addr, NodeId owner_hint) {
 
 Oid DsmNode::OidAt(Gaddr addr) const {
   Gaddr resolved = ResolveAddr(addr);
-  if (store_->HasObjectAt(resolved)) {
-    return store_->HeaderOf(resolved)->oid;
+  if (const ObjectHeader* header = store_->ObjectAt(resolved)) {
+    return header->oid;
   }
   // Local resolution exhausted: the directory knows every address the object
   // ever occupied (DESIGN.md — the page-based original resolves this through
@@ -518,17 +553,16 @@ std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid) const {
   // "the new locations of the object being acquired and of every object
   // directly referenced from it").
   Gaddr addr = store_->AddrOfOid(oid);
-  if (addr == kNullAddr || !store_->HasObjectAt(addr)) {
+  const ObjectHeader* header = addr == kNullAddr ? nullptr : store_->ObjectAt(addr);
+  if (header == nullptr) {
     return out;
   }
-  const ObjectHeader* header = store_->HeaderOf(addr);
   store_->ForEachRefSlot(addr, header->size_slots, [&](size_t, uint64_t target) {
     if (target == kNullAddr) {
       return;
     }
-    Gaddr resolved = ResolveAddr(target);
-    if (store_->HasObjectAt(resolved)) {
-      add_history(store_->HeaderOf(resolved)->oid);
+    if (const ObjectHeader* referent = store_->ObjectAt(ResolveAddr(target))) {
+      add_history(referent->oid);
     }
   });
   // Last-write-wins collapse before the list rides a consistency message.
@@ -810,8 +844,8 @@ void DsmNode::FillObjectBytes(Oid oid, GrantPayload* grant, Gaddr byte_addr) con
   // Cycle-broken resolution can stop on a mid-chain forwarder; follow the
   // in-heap chain to the actual bytes.
   resolved = store_->ResolveForward(resolved);
-  BMX_CHECK(store_->HasObjectAt(resolved)) << "granting object " << oid << " without bytes";
-  const ObjectHeader* header = store_->HeaderOf(resolved);
+  const ObjectHeader* header = store_->ObjectAt(resolved);
+  BMX_CHECK(header != nullptr) << "granting object " << oid << " without bytes";
   BMX_CHECK(!header->forwarded());
   grant->addr = resolved;
   grant->header = *header;
@@ -1000,8 +1034,9 @@ void DsmNode::InstallObjectBytes(Oid oid, BunchId bunch, Gaddr addr, const Objec
   // If we previously knew the object at a different address, leave a local
   // forwarding header there so stale local references still resolve.
   Gaddr prior = store_->AddrOfOid(oid);
-  if (prior != kNullAddr && prior != addr && store_->HasObjectAt(prior)) {
-    ObjectHeader* old_header = store_->HeaderOf(prior);
+  ObjectHeader* old_header =
+      prior != kNullAddr && prior != addr ? store_->ObjectAt(prior) : nullptr;
+  if (old_header != nullptr) {
     if (!old_header->forwarded()) {
       old_header->flags |= kObjFlagForwarded;
       old_header->forward = addr;
@@ -1054,12 +1089,22 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
     // First time this node learns of the move: a client-observable flip.
     RecordGcFlip(update.oid, update.old_addr, update.new_addr);
   }
+  // Most updates are echoes of moves this node has already absorbed (every
+  // grant re-ships the object's history).  Each branch below first tests, in
+  // a few probes, whether the outcome is already in place: the address the
+  // update should end at, `settled`, is a fixed point and the old address is
+  // one hop from it.  Then every ResolveAddr call the branch would make walks
+  // at most one hop — which compresses nothing, so it writes nothing — and
+  // returns `settled`, so the branch would change nothing and is skipped.
+  auto in_place = [&](Gaddr settled) {
+    return NextHop(settled) == settled && NextHop(update.old_addr) == settled;
+  };
   // An owner is authoritative for its own objects' locations: updates about
   // them are echoes of old moves and must not disturb the oid map or bytes —
   // but old *addresses* must still resolve to the canonical copy here.
   if (IsLocallyOwned(update.oid)) {
     Gaddr canonical = store_->AddrOfOid(update.oid);
-    if (canonical != kNullAddr) {
+    if (canonical != kNullAddr && !in_place(canonical)) {
       Gaddr from = ResolveAddr(update.old_addr);
       Gaddr to = ResolveAddr(canonical);
       if (from != to && !store_->HasObjectAt(from)) {
@@ -1073,17 +1118,21 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
   // address is the authoritative present: byte relocation and the oid map
   // always aim there, so a stale echo can never resurrect old state — it
   // merely contributes an address-resolution edge.
-  Gaddr target = ResolveAddr(update.new_addr);
   Gaddr dir_canonical = directory_->CanonicalAddressOf(update.oid);
+  Gaddr known = store_->AddrOfOid(update.oid);
+  if (dir_canonical != kNullAddr && known == dir_canonical && in_place(dir_canonical) &&
+      NextHop(update.new_addr) == dir_canonical) {
+    return;  // already current, and the old address already resolves here
+  }
+  Gaddr target = ResolveAddr(update.new_addr);
   if (dir_canonical != kNullAddr) {
     target = dir_canonical;
   }
-  Gaddr known = store_->AddrOfOid(update.oid);
   if (known != kNullAddr && ResolveAddr(known) == target) {
     // Already current — but still make sure the old *address* resolves here,
     // so stale addresses read from other objects keep working.
-    if (ResolveAddr(update.old_addr) != target &&
-        !store_->HasObjectAt(ResolveAddr(update.old_addr))) {
+    Gaddr reached = ResolveAddr(update.old_addr);
+    if (reached != target && !store_->HasObjectAt(reached)) {
       AddStaleForward(update.old_addr, target);
     }
     return;

@@ -307,6 +307,10 @@ class DsmNode : public MessageHandler {
   // to `dst` as a background address-change message.
   void SpillPiggybackOverflow(std::vector<AddressUpdate>* updates, NodeId dst);
   void ApplyOneAddressUpdate(const AddressUpdate& update);
+  // The first step ResolveAddr takes from `addr`: its forwarding header, its
+  // stale-forward record, or the directory's canonical address, in that
+  // order; `addr` itself when it is a fixed point.  Pure read.
+  Gaddr NextHop(Gaddr addr) const;
   void Defer(Oid oid, const Message& msg);
   void Redispatch(Oid oid);
 

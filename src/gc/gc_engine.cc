@@ -77,8 +77,8 @@ Gaddr GcEngine::Allocate(BunchId bunch, uint32_t size_slots) {
 void GcEngine::WriteRef(Gaddr obj_addr, size_t slot, Gaddr target) {
   stats_.barrier_writes++;
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj)) << "WriteRef to unmapped object at " << obj_addr;
-  const ObjectHeader* header = store_->HeaderOf(obj);
+  const ObjectHeader* header = store_->ObjectAt(obj);
+  BMX_CHECK(header != nullptr) << "WriteRef to unmapped object at " << obj_addr;
   BMX_CHECK_LT(slot, header->size_slots);
   store_->WriteSlot(obj, slot, target);
   store_->SetSlotIsRef(obj, slot, target != kNullAddr);
@@ -98,8 +98,8 @@ void GcEngine::WriteRef(Gaddr obj_addr, size_t slot, Gaddr target) {
 void GcEngine::WriteWord(Gaddr obj_addr, size_t slot, uint64_t value) {
   stats_.barrier_writes++;
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj)) << "WriteWord to unmapped object at " << obj_addr;
-  const ObjectHeader* header = store_->HeaderOf(obj);
+  const ObjectHeader* header = store_->ObjectAt(obj);
+  BMX_CHECK(header != nullptr) << "WriteWord to unmapped object at " << obj_addr;
   BMX_CHECK_LT(slot, header->size_slots);
   store_->WriteSlot(obj, slot, value);
   store_->SetSlotIsRef(obj, slot, false);
@@ -133,8 +133,8 @@ bool GcEngine::SameObject(Gaddr a, Gaddr b) const {
   // not caught up on one of the chains; compare identities, using the
   // directory's address book when local bytes are missing on one side.
   auto identify = [&](Gaddr resolved, Gaddr original) -> Oid {
-    if (store_->HasObjectAt(resolved)) {
-      return store_->HeaderOf(resolved)->oid;
+    if (const ObjectHeader* header = store_->ObjectAt(resolved)) {
+      return header->oid;
     }
     Oid oid = directory_->OidAtAddress(resolved);
     return oid != kNullOid ? oid : directory_->OidAtAddress(original);

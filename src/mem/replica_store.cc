@@ -34,23 +34,11 @@ Gaddr ReplicaStore::ResolveForward(Gaddr addr) const {
   Gaddr current = addr;
   // A forwarding chain can have several hops if the object moved more than
   // once before this node caught up; bounded by hop budget as a safety net.
+  // Only an address the object-map confirms is treated as an object: a stale
+  // address into reused space must not be chased.
   for (int hops = 0; hops < 64; ++hops) {
-    const SegmentImage* image = SegmentFor(current);
-    if (image == nullptr) {
-      return current;
-    }
-    size_t off = OffsetInSegment(current);
-    if (off < kHeaderBytes) {
-      return current;
-    }
-    // Only treat the address as an object if the object-map confirms a header
-    // there; a stale address into reused space must not be chased.
-    size_t header_slot = (off - kHeaderBytes) / kSlotBytes;
-    if (!image->object_map().Test(header_slot)) {
-      return current;
-    }
-    const ObjectHeader* header = image->HeaderOf(current);
-    if (!header->forwarded()) {
+    const ObjectHeader* header = ObjectAt(current);
+    if (header == nullptr || !header->forwarded()) {
       return current;
     }
     current = header->forward;
@@ -59,16 +47,16 @@ Gaddr ReplicaStore::ResolveForward(Gaddr addr) const {
   return current;
 }
 
-bool ReplicaStore::HasObjectAt(Gaddr addr) const {
-  const SegmentImage* image = SegmentFor(addr);
+ObjectHeader* ReplicaStore::ObjectAt(Gaddr addr) {
+  SegmentImage* image = SegmentFor(addr);
   if (image == nullptr) {
-    return false;
+    return nullptr;
   }
   size_t off = OffsetInSegment(addr);
-  if (off < kHeaderBytes) {
-    return false;
+  if (off < kHeaderBytes || !image->object_map().Test((off - kHeaderBytes) / kSlotBytes)) {
+    return nullptr;
   }
-  return image->object_map().Test((off - kHeaderBytes) / kSlotBytes);
+  return image->HeaderOf(addr);
 }
 
 uint64_t ReplicaStore::ReadSlot(Gaddr obj_addr, size_t slot) const {

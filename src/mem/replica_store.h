@@ -72,9 +72,15 @@ class ReplicaStore {
   // this node knows for the object nominally at `addr`.
   Gaddr ResolveForward(Gaddr addr) const;
 
-  // True if a mapped segment's object-map confirms an object header for data
-  // address `addr` (forwarders count: their headers stay in the object-map).
-  bool HasObjectAt(Gaddr addr) const;
+  // Header of the object at data address `addr` when a mapped segment's
+  // object-map confirms one there (forwarders count: their headers stay in the
+  // object-map); nullptr otherwise.  One segment lookup, so a caller that
+  // needs the header never pays for HasObjectAt and HeaderOf separately.
+  ObjectHeader* ObjectAt(Gaddr addr);
+  const ObjectHeader* ObjectAt(Gaddr addr) const {
+    return const_cast<ReplicaStore*>(this)->ObjectAt(addr);
+  }
+  bool HasObjectAt(Gaddr addr) const { return ObjectAt(addr) != nullptr; }
 
   // Raw slot access (no barrier, no token check — callers layer those).
   uint64_t ReadSlot(Gaddr obj_addr, size_t slot) const;

@@ -456,6 +456,7 @@ void Network::RegisterNode(NodeId node, MessageHandler* handler) {
     channel.expected_rel_seq = 0;
     std::map<uint64_t, RetxEntry> held;
     held.swap(channel.unacked);
+    unacked_count_ -= held.size();
     for (auto& [old_rel_seq, entry] : held) {
       Message msg = entry.msg;
       msg.seq = channel.next_seq++;
@@ -472,12 +473,22 @@ void Network::RegisterNode(NodeId node, MessageHandler* handler) {
       // parked_counted resets with the fresh entry: if this incarnation dies
       // too, the payload parks (and counts) again for the new down period.
       channel.unacked.emplace(msg.rel_seq, replay);
+      unacked_count_++;
       channel.queue.push_back(std::move(msg));
       pending_++;
       stats_.wire_messages++;
       stats_.For(entry.msg.payload->kind()).redelivered++;
       CountWireCopy(*entry.msg.payload);
     }
+    SyncQueued(key, &channel);
+  }
+}
+
+void Network::SyncQueued(const ChannelKey& key, Channel* channel) {
+  if (channel->queue.empty()) {
+    queued_.erase(key);
+  } else {
+    queued_.emplace(key, channel);
   }
 }
 
@@ -488,6 +499,9 @@ void Network::Enqueue(Channel* channel, Message msg) {
     stats_.For(msg.payload->kind()).reordered++;
     channel->queue.insert(channel->queue.end() - 1, std::move(msg));
   } else {
+    if (channel->queue.empty()) {
+      queued_.emplace(ChannelKey{msg.src, msg.dst}, channel);
+    }
     channel->queue.push_back(std::move(msg));
   }
   pending_++;
@@ -564,7 +578,11 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Payload> payloa
     RetxEntry entry;
     entry.msg = msg;
     entry.next_retry = now_ + retry_.BackoffFor(0, msg.rel_seq);
-    channel.unacked.emplace(msg.rel_seq, std::move(entry));
+    // A send to a disconnected node restarts rel_seq numbering under its
+    // parked entries, so the key may already be taken.
+    if (channel.unacked.emplace(msg.rel_seq, std::move(entry)).second) {
+      unacked_count_++;
+    }
   }
 
   double dup_rate = duplication_rate_;
@@ -709,7 +727,9 @@ void Network::FlushBatch(const ChannelKey& key, PendingBatch batch) {
   RetxEntry entry;
   entry.msg = msg;
   entry.next_retry = now_ + retry_.BackoffFor(0, msg.rel_seq);
-  channel.unacked.emplace(msg.rel_seq, std::move(entry));
+  if (channel.unacked.emplace(msg.rel_seq, std::move(entry)).second) {
+    unacked_count_++;
+  }
 
   LinkState* link = FindLinkState(key);
   double dup_rate = duplication_rate_;
@@ -796,6 +816,7 @@ void Network::AckReliable(Channel* channel, uint64_t rel_seq) {
     return;
   }
   channel->unacked.erase(it);
+  unacked_count_--;
 }
 
 bool Network::StaleEpoch(const Message& msg) const {
@@ -826,30 +847,29 @@ Network::Channel* Network::PickDeliveryChannel(ChannelKey* key_out) {
   // until its ready_at tick; when every queued copy is still in flight, the
   // event-driven virtual clock jumps to the earliest readiness and the scan
   // repeats.  Without latency profiles the loop exits on its first pass with
-  // the historical behavior (ready_at is never consulted).
+  // the historical behavior (ready_at is never consulted).  Only queued_ is
+  // scanned: it lists the non-empty channels in channels_ key order.
+  if (pending_ == 0) {
+    return nullptr;
+  }
   for (;;) {
     uint64_t earliest_ready = UINT64_MAX;
     if (decisions_.mode() == DecisionLog::Mode::kLive && scheduler_->IsFifo()) {
       // Historical zero-overhead path: live FIFO consumes no decision indices
       // and builds no candidate list.
-      for (auto& [key, channel] : channels_) {
-        if (channel.queue.empty()) {
-          continue;
-        }
-        uint64_t ready_at = any_link_latency_ ? channel.queue.front().ready_at : 0;
+      for (auto& [key, channel] : queued_) {
+        uint64_t ready_at = any_link_latency_ ? channel->queue.front().ready_at : 0;
         if (ready_at <= now_) {
           *key_out = key;
-          return &channel;
+          return channel;
         }
         earliest_ready = std::min(earliest_ready, ready_at);
       }
     } else {
       std::vector<ChannelCandidate> candidates;
       std::vector<std::pair<ChannelKey, Channel*>> backing;
-      for (auto& [key, channel] : channels_) {
-        if (channel.queue.empty()) {
-          continue;
-        }
+      for (auto& [key, channel_ptr] : queued_) {
+        Channel& channel = *channel_ptr;
         uint64_t ready_at = any_link_latency_ ? channel.queue.front().ready_at : 0;
         if (ready_at > now_) {
           // Still in flight: not a legal candidate, so it consumes no
@@ -864,7 +884,7 @@ Network::Channel* Network::PickDeliveryChannel(ChannelKey* key_out) {
         c.queue_len = channel.queue.size();
         c.deferred = channel.deferred;
         candidates.push_back(c);
-        backing.emplace_back(key, &channel);
+        backing.emplace_back(key, channel_ptr);
       }
       if (!candidates.empty()) {
         size_t pick = 0;
@@ -925,6 +945,9 @@ bool Network::DeliverOne() {
   Message msg = std::move(channel.queue.front());
   channel.queue.pop_front();
   pending_--;
+  if (channel.queue.empty()) {
+    queued_.erase(key);
+  }
   now_++;  // every consumed wire copy costs one tick of virtual time
   auto& pk = stats_.For(msg.payload->kind());
   bool reliable = msg.payload->reliable();
@@ -1034,6 +1057,9 @@ bool Network::DeliverOne() {
 }
 
 bool Network::FireRetransmitTimers() {
+  if (unacked_count_ == 0) {
+    return false;
+  }
   uint64_t earliest = UINT64_MAX;
   for (const auto& [key, channel] : channels_) {
     if (channel.unacked.empty() || !ReachableChannel(key)) {
@@ -1066,6 +1092,9 @@ bool Network::FireRetransmitTimers() {
       CountWireCopy(*entry.msg.payload);
       Message copy = entry.msg;
       copy.ready_at = ReadyAt(key);
+      if (channel.queue.empty()) {
+        queued_.emplace(key, &channel);
+      }
       channel.queue.push_back(std::move(copy));
       pending_++;
       stats_.wire_messages++;
@@ -1127,14 +1156,6 @@ bool Network::Idle() const { return pending_ == 0 && pending_batched_ == 0; }
 
 size_t Network::PendingCount() const { return pending_; }
 
-size_t Network::UnackedCount() const {
-  size_t n = 0;
-  for (const auto& [key, channel] : channels_) {
-    n += channel.unacked.size();
-  }
-  return n;
-}
-
 size_t Network::HeldCount() const {
   size_t n = 0;
   for (const auto& [key, channel] : channels_) {
@@ -1146,6 +1167,9 @@ size_t Network::HeldCount() const {
 }
 
 size_t Network::ReachableUnackedCount() const {
+  if (unacked_count_ == 0) {
+    return 0;
+  }
   size_t n = 0;
   for (const auto& [key, channel] : channels_) {
     if (ReachableChannel(key)) {
@@ -1198,6 +1222,7 @@ size_t Network::DropParked(NodeId src, NodeId dst, MsgKind kind) {
         }
       }
       u = channel.unacked.erase(u);
+      unacked_count_--;
       dropped++;
     } else {
       ++u;
@@ -1261,8 +1286,10 @@ size_t Network::DropParked(NodeId src, NodeId dst, MsgKind kind) {
       ++u;
     } else {
       u = channel.unacked.erase(u);
+      unacked_count_--;
     }
   }
+  SyncQueued(it->first, &channel);
   return dropped;
 }
 
@@ -1314,6 +1341,7 @@ void Network::DisconnectNode(NodeId node) {
       }
       pending_ -= channel.queue.size();
       channel.queue.clear();
+      queued_.erase(it->first);
       for (auto& [rel_seq, entry] : channel.unacked) {
         // Each payload parks once per down period; a copy that already hit
         // the dead destination in DeliverOne was counted there.
@@ -1327,6 +1355,7 @@ void Network::DisconnectNode(NodeId node) {
       // traffic FROM it stays in flight, stamped with the dead incarnation's
       // epoch, and is rejected at delivery.  The sender-side retransmission
       // state dies with the node's volatile memory.
+      unacked_count_ -= channel.unacked.size();
       channel.unacked.clear();
     }
     // Receiver-side reassembly state of the dead incarnation's stream is

@@ -238,7 +238,7 @@ class Network {
   bool Idle() const;
   size_t PendingCount() const;
   // Unacked reliable payloads (in flight, awaiting ack, or parked).
-  size_t UnackedCount() const;
+  size_t UnackedCount() const { return unacked_count_; }
   // Unacked reliable payloads whose destination is currently unregistered;
   // these are replayed when the destination re-registers.
   size_t HeldCount() const;
@@ -399,6 +399,10 @@ class Network {
   }
 
  private:
+  // Test peer that recounts the delivery bookkeeping below from channels_
+  // (tests/net/network_bookkeeping_test.cc).
+  friend class NetworkAudit;
+
   using ChannelKey = std::pair<NodeId, NodeId>;
 
   struct RetxEntry {
@@ -463,6 +467,9 @@ class Network {
   // Chooses the channel DeliverOne consumes from (scheduler + decision
   // stream); returns nullptr when every queue is empty.
   Channel* PickDeliveryChannel(ChannelKey* key_out);
+  // Re-files the channel in queued_ after its queue may have gone from empty
+  // to non-empty or back.
+  void SyncQueued(const ChannelKey& key, Channel* channel);
   // Marks the payload behind a wire copy as parked, exactly once per down
   // period (see RetxEntry::parked_counted).
   void CountParked(Channel* channel, const Message& msg);
@@ -544,7 +551,18 @@ class Network {
   std::map<ChannelKey, Channel> channels_;
   std::set<ChannelKey> partitions_;  // stored as (min, max)
   NetworkStats stats_;
+  // Delivery bookkeeping, kept exact at every mutation so a pump costs what
+  // the traffic it moves, not the number of channels ever opened:
+  //   * pending_ is the sum of every channel's queue.size();
+  //   * unacked_count_ is the sum of every channel's unacked.size();
+  //   * queued_ holds exactly the channels whose queue is non-empty, in key
+  //     order (so scanning it visits the same channels, in the same order, as
+  //     scanning channels_ and skipping empty queues).  Its pointers stay
+  //     valid: std::map nodes never move, and a channel is erased from
+  //     channels_ only with an empty queue.
   size_t pending_ = 0;
+  size_t unacked_count_ = 0;
+  std::map<ChannelKey, Channel*> queued_;
   // Coalescing layer (batching enabled only).  std::map for deterministic
   // flush order; pending_batched_ mirrors the total entry count so Idle()
   // and the liveness oracle see buffered-but-unflushed traffic.

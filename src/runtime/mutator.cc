@@ -18,13 +18,13 @@ void Mutator::RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t val
   if (recorder == nullptr) {
     return;
   }
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  if (!node_->store().HasObjectAt(resolved)) {
+  const ObjectHeader* header = node_->store().ObjectAt(node_->dsm().LocalCopyOf(obj));
+  if (header == nullptr) {
     return;  // nothing local to attribute the event to
   }
   HistoryEvent event;
   event.op = op;
-  event.oid = node_->store().HeaderOf(resolved)->oid;
+  event.oid = header->oid;
   event.slot = slot;
   event.value = value;
   event.is_ref = is_ref;
@@ -73,9 +73,9 @@ void Mutator::CheckWritable(Gaddr obj) const {
   if (!strict_) {
     return;
   }
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  BMX_CHECK(node_->store().HasObjectAt(resolved)) << "write to unmapped object";
-  Oid oid = node_->store().HeaderOf(resolved)->oid;
+  const ObjectHeader* header = node_->store().ObjectAt(node_->dsm().LocalCopyOf(obj));
+  BMX_CHECK(header != nullptr) << "write to unmapped object";
+  Oid oid = header->oid;
   BMX_CHECK(node_->dsm().StateOf(oid) == TokenState::kWrite)
       << "entry consistency violation: write without the write token (node " << node_->id()
       << ", oid " << oid << ")";
@@ -85,9 +85,9 @@ void Mutator::CheckReadable(Gaddr obj) const {
   if (!strict_) {
     return;
   }
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  BMX_CHECK(node_->store().HasObjectAt(resolved)) << "read of unmapped object";
-  Oid oid = node_->store().HeaderOf(resolved)->oid;
+  const ObjectHeader* header = node_->store().ObjectAt(node_->dsm().LocalCopyOf(obj));
+  BMX_CHECK(header != nullptr) << "read of unmapped object";
+  Oid oid = header->oid;
   BMX_CHECK(node_->dsm().StateOf(oid) != TokenState::kNone)
       << "entry consistency violation: read without a token (node " << node_->id() << ", oid "
       << oid << ")";

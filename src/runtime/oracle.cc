@@ -24,8 +24,8 @@ bool ResolvesToLocalBytes(Node& node, Gaddr addr) {
     return false;
   }
   Gaddr resolved = node.dsm().ResolveAddr(addr);
-  return resolved != kNullAddr && node.store().HasObjectAt(resolved) &&
-         !node.store().HeaderOf(resolved)->forwarded();
+  const ObjectHeader* header = resolved == kNullAddr ? nullptr : node.store().ObjectAt(resolved);
+  return header != nullptr && !header->forwarded();
 }
 
 }  // namespace

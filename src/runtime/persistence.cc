@@ -10,10 +10,15 @@ namespace bmx {
 
 namespace {
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+void SetU64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (i * 8)));
+    p[i] = static_cast<uint8_t>(v >> (i * 8));
   }
+}
+
+void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  out->resize(out->size() + 8);
+  SetU64(out->data() + out->size() - 8, v);
 }
 
 uint64_t GetU64(const uint8_t* p) {
@@ -152,12 +157,42 @@ void PersistenceManager::CommitObjects(
     const std::string meta = MetaFile(image->id());
     metas.push_back(EncodeMeta(image));
     std::vector<uint8_t>& meta_buf = metas.back();
+    size_t map_words = image->object_map().words().size();
+    // Nodes share the segment files, and this image may be a replica that
+    // holds fewer objects than the segment's owner wrote there.  So the
+    // commit owns only its objects' slots: every map bit outside them keeps
+    // its value in the file (bits this image has set stay set), and the
+    // cursor never drops below the one in the file.  The OR cannot clear a
+    // stale bit this image still holds for another object, and the file
+    // lags any log not yet applied to it (ROADMAP item 4(d)).
+    std::map<size_t, uint64_t> owned_bits;  // map word -> bits of committed slots
+    for (Gaddr addr : addrs) {
+      const ObjectHeader* header = image->HeaderOf(addr);
+      size_t first_slot = (OffsetInSegment(addr) - kHeaderBytes) / kSlotBytes;
+      size_t end_slot = first_slot + kHeaderSlots + header->size_slots;
+      for (size_t slot = first_slot; slot < end_slot;) {
+        size_t bit = slot % 64;
+        size_t run = std::min<size_t>(64 - bit, end_slot - slot);
+        owned_bits[slot / 64] |= (run == 64 ? ~uint64_t{0} : ((uint64_t{1} << run) - 1)) << bit;
+        slot += run;
+      }
+    }
+    if (disk_->Exists(meta) && disk_->FileSize(meta) == meta_buf.size()) {
+      const std::vector<uint8_t>& on_disk = disk_->Contents(meta);
+      SetU64(meta_buf.data(), std::max(GetU64(on_disk.data()), GetU64(meta_buf.data())));
+      for (const auto& [word, bits] : owned_bits) {
+        for (size_t map : {size_t{0}, map_words}) {
+          size_t off = 16 + (map + word) * 8;
+          SetU64(meta_buf.data() + off,
+                 GetU64(meta_buf.data() + off) | (GetU64(on_disk.data() + off) & ~bits));
+        }
+      }
+    }
     rvm_.MapRegionAdopt(data, image->bytes(), image->allocated_bytes());
     rvm_.MapRegionAdopt(meta, meta_buf.data(), meta_buf.size());
     // Cursor + bunch header of the meta sidecar always commit (allocations
     // move the cursor).
     rvm_.SetRange(tx, meta, 0, 16);
-    size_t map_words = image->object_map().words().size();
     for (Gaddr addr : addrs) {
       const ObjectHeader* header = image->HeaderOf(addr);
       size_t header_off = OffsetInSegment(addr) - kHeaderBytes;

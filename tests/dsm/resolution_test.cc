@@ -152,5 +152,111 @@ TEST(Resolution, LiStylePathCompressionOnForwardedWrites) {
   EXPECT_EQ(cluster.node(1).dsm().OwnerHint(oid), 2u);
 }
 
+ClusterOptions Nodes(size_t n) {
+  ClusterOptions options;
+  options.num_nodes = n;
+  return options;
+}
+
+// Addresses in a segment no node maps and the directory never saw: with no
+// bytes and no directory entry behind them, only stale-forward records move
+// resolution off them.
+Gaddr Nowhere(size_t i) { return MakeAddr(900000, kHeaderBytes + i * 64); }
+
+TEST(Resolution, ChainLongerThanTheInlineWaypointBufferCompressesToOneHop) {
+  // 40 hops is past the waypoints a walk keeps on the stack, so the walk
+  // spills to the heap; every waypoint, on either side of the spill, must
+  // still end up one hop from the fixed point.  A waypoint is one hop away
+  // when re-pointing its old successor elsewhere leaves its resolution alone.
+  constexpr size_t kHops = 40;
+  for (size_t probe = 0; probe + 1 < kHops; ++probe) {
+    Cluster cluster(Nodes(1));
+    DsmNode& dsm = cluster.node(0).dsm();
+    for (size_t i = 0; i < kHops; ++i) {
+      dsm.AddStaleForward(Nowhere(i), Nowhere(i + 1));
+    }
+    ASSERT_EQ(dsm.ResolveAddr(Nowhere(0)), Nowhere(kHops));
+    dsm.AddStaleForward(Nowhere(probe + 1), Nowhere(1000));
+    EXPECT_EQ(dsm.ResolveAddr(Nowhere(probe)), Nowhere(kHops)) << "waypoint " << probe;
+    EXPECT_EQ(dsm.ResolveAddr(Nowhere(probe + 1)), Nowhere(1000));
+  }
+}
+
+TEST(Resolution, StaleForwardCycleStopsBeforeRevisiting) {
+  // Conflicting out-of-order updates can leave a cycle of stale forwards.  A
+  // walk stops at the last address before it would revisit one, compresses
+  // nothing, and so answers the same every time.  Cycles of 3 and of 20
+  // (past the inline waypoint buffer), entered from a tail address.
+  for (size_t len : {size_t{3}, size_t{20}}) {
+    Cluster cluster(Nodes(1));
+    DsmNode& dsm = cluster.node(0).dsm();
+    for (size_t i = 0; i < len; ++i) {
+      dsm.AddStaleForward(Nowhere(i), Nowhere((i + 1) % len));
+    }
+    dsm.AddStaleForward(Nowhere(100), Nowhere(0));
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      EXPECT_EQ(dsm.ResolveAddr(Nowhere(0)), Nowhere(len - 1)) << "cycle " << len;
+      EXPECT_EQ(dsm.ResolveAddr(Nowhere(1)), Nowhere(0)) << "cycle " << len;
+      EXPECT_EQ(dsm.ResolveAddr(Nowhere(100)), Nowhere(len - 1)) << "cycle " << len;
+    }
+  }
+}
+
+TEST(Resolution, SeenUpdateIsReappliedWhenItsOldAddressResolvesElsewhere) {
+  // Node 1 holds the object at its new address and hears of the move.
+  // Later its old address is re-pointed elsewhere.  An echo of the same
+  // (oid, old address) must still bring the old address back to the object:
+  // having heard of a move says nothing about whether its outcome holds.
+  Cluster cluster(Nodes(2));
+  Mutator m0(&cluster.node(0));
+  Mutator m1(&cluster.node(1));
+  BunchId bunch = cluster.CreateBunch(0);
+  Gaddr a = m0.Alloc(bunch, 1);
+  m0.AddRoot(a);
+  cluster.node(0).gc().CollectBunch(bunch);
+  Gaddr moved = cluster.node(0).dsm().ResolveAddr(a);
+  ASSERT_NE(moved, a);
+  ASSERT_TRUE(m1.AcquireRead(moved));
+  m1.Release(moved);
+  DsmNode& dsm = cluster.node(1).dsm();
+  Oid oid = cluster.node(1).store().HeaderOf(moved)->oid;
+  ASSERT_EQ(cluster.node(1).store().AddrOfOid(oid), moved);
+
+  AddressUpdate update{oid, bunch, a, moved};
+  dsm.ApplyAddressUpdates({update}, 0);
+  ASSERT_EQ(dsm.ResolveAddr(a), moved);
+  size_t history = dsm.BuildInvariant1Updates(oid).size();
+
+  dsm.AddStaleForward(a, Nowhere(0));
+  ASSERT_EQ(dsm.ResolveAddr(a), Nowhere(0));
+  dsm.ApplyAddressUpdates({update}, 0);
+  EXPECT_EQ(dsm.ResolveAddr(a), moved);
+  EXPECT_EQ(dsm.BuildInvariant1Updates(oid).size(), history);  // not heard twice
+}
+
+TEST(Resolution, OwnerEchoStillAddsItsStaleForward) {
+  // An owner ignores updates about its own objects except for one effect:
+  // the old address must resolve to its canonical copy — also when the old
+  // address was already heard of and has since been re-pointed.
+  Cluster cluster(Nodes(1));
+  Mutator m(&cluster.node(0));
+  BunchId bunch = cluster.CreateBunch(0);
+  Gaddr a = m.Alloc(bunch, 1);
+  DsmNode& dsm = cluster.node(0).dsm();
+  Oid oid = cluster.node(0).store().HeaderOf(a)->oid;
+  ASSERT_TRUE(dsm.IsLocallyOwned(oid));
+
+  AddressUpdate echo{oid, bunch, Nowhere(0), a};
+  ASSERT_EQ(dsm.ResolveAddr(Nowhere(0)), Nowhere(0));
+  dsm.ApplyAddressUpdates({echo}, kInvalidNode);
+  EXPECT_EQ(dsm.ResolveAddr(Nowhere(0)), a);
+
+  dsm.AddStaleForward(Nowhere(0), Nowhere(1));
+  ASSERT_EQ(dsm.ResolveAddr(Nowhere(0)), Nowhere(1));
+  dsm.ApplyAddressUpdates({echo}, kInvalidNode);
+  EXPECT_EQ(dsm.ResolveAddr(Nowhere(0)), a);
+  EXPECT_EQ(dsm.ResolveAddr(Nowhere(1)), a);
+}
+
 }  // namespace
 }  // namespace bmx

@@ -242,12 +242,12 @@ TEST(Recovery, CheckpointRoundTripIsByteIdentical) {
 
 TEST(Recovery, ReplicaCommitKeepsOwnerObjectsPastItsCursor) {
   // Nodes share the segment files.  A replica holding only object 2 has its
-  // cursor at that object's end, and its transaction commit logs that lower
-  // cursor; once both logs are applied to the files, the owner's objects
-  // above that cursor must still reload intact.  The commit also logs the
-  // object-map words around object 2 from the replica's own map, which drops
-  // object 3's bit (ROADMAP item 4(d)), so the check starts at object 4:
-  // objects this large keep it out of those words.
+  // cursor at that object's end; its transaction commit must neither lower
+  // the cursor in the file nor drop the map bits of objects it does not hold.
+  // Object 3 shares an object-map word with object 2 (each object spans 202
+  // slots, so object 2 ends and object 3 begins inside word 9).  Once both
+  // logs are applied to the files, every owner object must reload intact and
+  // the reloaded cursor must still cover all eight.
   Cluster cluster({.num_nodes = 2});
   BunchId bunch = cluster.CreateBunch(0);
   std::vector<Gaddr> objs;
@@ -262,6 +262,9 @@ TEST(Recovery, ReplicaCommitKeepsOwnerObjectsPastItsCursor) {
     cluster.node(0).CheckpointBunch(bunch);
     cluster.node(0).persistence().TruncateLog();
   }
+  ASSERT_EQ(SegmentOf(objs[2]), SegmentOf(objs[7]));
+  ASSERT_EQ((OffsetInSegment(objs[2]) / kSlotBytes + 200) / 64,
+            (OffsetInSegment(objs[3]) - kHeaderBytes) / kSlotBytes / 64);
   {
     Mutator m1(&cluster.node(1));
     ASSERT_TRUE(m1.AcquireWrite(objs[2]));
@@ -276,8 +279,11 @@ TEST(Recovery, ReplicaCommitKeepsOwnerObjectsPastItsCursor) {
   cluster.CrashNode(0);
   Node& fresh = cluster.RestartNode(0);
   fresh.recovery().RunRecovery();
+  const SegmentImage* image = fresh.store().SegmentFor(objs[7]);
+  ASSERT_NE(image, nullptr);
+  EXPECT_GE(image->allocated_bytes(), OffsetInSegment(objs[7]) + 200 * kSlotBytes);
   Mutator m(&fresh);
-  for (size_t i = 4; i < objs.size(); ++i) {
+  for (size_t i = 3; i < objs.size(); ++i) {
     ASSERT_TRUE(m.AcquireRead(objs[i])) << "object " << i;
     EXPECT_EQ(m.ReadWord(objs[i], 1), 100 + i) << "object " << i;
     m.Release(objs[i]);
