@@ -34,6 +34,7 @@
 #include "src/dsm/dsm_node.h"
 #include "src/dsm/gc_hooks.h"
 #include "src/gc/gc_stats.h"
+#include "src/gc/mark_bits.h"
 #include "src/gc/payloads.h"
 #include "src/gc/ssp.h"
 #include "src/mem/directory.h"
@@ -221,15 +222,15 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
 
   struct TraceResult {
     // Canonical (forward-resolved) addresses of live local objects.
-    std::set<Gaddr> strong;
-    std::set<Gaddr> weak_only;  // reachable only via intra-bunch scions (§6.2)
+    MarkBits strong;
+    MarkBits weak_only;  // reachable only via intra-bunch scions (§6.2)
     // Strongly reachable references to addresses with no local bytes.  The
     // paper's page-based DSM always has (possibly stale) bytes for a mapped
     // bunch; in this byte-lazy model such edges must still keep their remote
     // targets alive, so they are reported address-based in the reachability
     // tables.
     std::set<Gaddr> dangling;
-    bool Live(Gaddr addr) const { return strong.count(addr) > 0 || weak_only.count(addr) > 0; }
+    bool Live(Gaddr addr) const { return strong.Test(addr) || weak_only.Test(addr); }
   };
 
   struct PendingReclaim {
@@ -245,16 +246,10 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // originating inside the local group from the root set.
   void Collect(const std::vector<BunchId>& group, bool exclude_intra_group_scions);
   TraceResult Trace(const std::vector<BunchId>& group, bool exclude_intra_group_scions);
-  // Marks reachable local objects; `dangling` (nullable) collects in-group
-  // references whose bytes are absent locally.
-  void MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gaddr>* marked,
-                std::set<Gaddr>* dangling);
-  // Marks every root in `roots` into `marked`/`dangling`.  Multi-threaded
-  // pools shard the root list into one contiguous chunk per thread, each
-  // marking into private sets that are unioned in chunk order — the union
-  // equals the serial result because marking is monotone.
+  // Marks the local objects reachable from `roots`; `dangling` (nullable)
+  // collects in-group references whose bytes are absent locally.
   void MarkRoots(const std::vector<Gaddr>& roots, const std::set<BunchId>& group,
-                 std::set<Gaddr>* marked, std::set<Gaddr>* dangling);
+                 MarkBits* marked, std::set<Gaddr>* dangling);
   void CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<AddressUpdate>* moves);
   void UpdateLocalReferences(const std::vector<BunchId>& group, const TraceResult& live);
   void SweepDead(BunchId bunch, const TraceResult& live);

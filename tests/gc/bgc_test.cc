@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/common/perf_counters.h"
+#include "src/common/task_pool.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
 
@@ -13,6 +19,103 @@ namespace {
 
 Oid OidOf(Node& node, Gaddr addr) {
   return node.store().HeaderOf(node.dsm().ResolveAddr(addr))->oid;
+}
+
+// `count` objects of `slots` slots each in `bunch`, allocated by `mutator`'s
+// node.  Object i references two objects drawn by a fixed LCG from
+// [0, split) when i < split, else from [0, count), so nothing below `split`
+// reaches an object at or above it.
+std::vector<Gaddr> AllocGraph(Mutator& mutator, BunchId bunch, size_t count, size_t split,
+                              uint32_t slots) {
+  std::vector<Gaddr> objs;
+  for (size_t i = 0; i < count; ++i) {
+    objs.push_back(mutator.Alloc(bunch, slots));
+  }
+  uint64_t lcg = 12345;
+  auto next = [&](size_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<size_t>((lcg >> 33) % bound);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    size_t bound = i < split ? split : count;
+    mutator.WriteRef(objs[i], 0, objs[next(bound)]);
+    mutator.WriteRef(objs[i], slots - 1, objs[next(bound)]);
+  }
+  return objs;
+}
+
+// Brute-force liveness of `bunch` at `node`: every local object of the
+// bunch reachable from `roots`, read slot by slot.
+std::set<Gaddr> Reachable(Cluster& cluster, Node& node, BunchId bunch,
+                          const std::vector<Gaddr>& roots) {
+  std::set<Gaddr> seen;
+  std::vector<Gaddr> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    Gaddr addr = stack.back();
+    stack.pop_back();
+    if (addr == kNullAddr) {
+      continue;
+    }
+    addr = node.dsm().LocalCopyOf(addr);
+    if (cluster.directory().BunchOfSegment(SegmentOf(addr)) != bunch ||
+        !node.store().HasObjectAt(addr) || !seen.insert(addr).second) {
+      continue;
+    }
+    for (size_t slot = 0; slot < node.store().HeaderOf(addr)->size_slots; ++slot) {
+      if (node.store().SlotIsRef(addr, slot)) {
+        stack.push_back(node.store().ReadSlot(addr, slot));
+      }
+    }
+  }
+  return seen;
+}
+
+// LiveObjects' expected answer at `node`: strongly reachable objects
+// ascending, then the weak-only ones (reachable only from intra-bunch
+// scions) ascending.  `weak_only` receives the latter.
+std::vector<Gaddr> ExpectedLive(Cluster& cluster, Node& node, Mutator& mutator, BunchId bunch,
+                                std::vector<Gaddr>* weak_only) {
+  std::vector<Gaddr> strong_roots;
+  for (size_t i = 0; i < mutator.RootCount(); ++i) {
+    strong_roots.push_back(mutator.Root(i));
+  }
+  GcEngine::BunchTables tables = node.gc().TablesOf(bunch);
+  for (const InterScion& scion : tables.inter_scions) {
+    strong_roots.push_back(scion.target_addr);
+  }
+  for (const auto& [oid, sources] : node.dsm().EnteringFor(bunch)) {
+    strong_roots.push_back(node.store().AddrOfOid(oid));
+  }
+  std::vector<Gaddr> weak_roots;
+  for (const IntraScion& scion : tables.intra_scions) {
+    weak_roots.push_back(node.store().AddrOfOid(scion.oid));
+  }
+  std::set<Gaddr> strong = Reachable(cluster, node, bunch, strong_roots);
+  std::vector<Gaddr> live(strong.begin(), strong.end());
+  weak_only->clear();
+  for (Gaddr addr : Reachable(cluster, node, bunch, weak_roots)) {
+    if (strong.count(addr) == 0) {
+      weak_only->push_back(addr);
+    }
+  }
+  live.insert(live.end(), weak_only->begin(), weak_only->end());
+  return live;
+}
+
+size_t FootprintOf(Node& node, const std::vector<Gaddr>& addrs) {
+  size_t bytes = 0;
+  for (Gaddr addr : addrs) {
+    bytes += ObjectFootprintBytes(node.store().HeaderOf(addr)->size_slots);
+  }
+  return bytes;
+}
+
+size_t SegmentsSpanned(const std::vector<Gaddr>& addrs) {
+  std::set<SegmentId> segs;
+  for (Gaddr addr : addrs) {
+    segs.insert(SegmentOf(addr));
+  }
+  return segs.size();
 }
 
 class BgcTest : public ::testing::Test {
@@ -272,6 +375,155 @@ TEST_F(BgcTest, IndependentCollectionOfReplicas) {
   ASSERT_TRUE(mutators_[1]->AcquireRead(a0));
   mutators_[1]->Release(a0);
   EXPECT_EQ(cluster_->node(0).dsm().ResolveAddr(a0), cluster_->node(1).dsm().ResolveAddr(a0));
+}
+
+TEST_F(BgcTest, LivenessMatchesBruteForceOnMultiSegmentBunchWithWeakRoots) {
+  Build(2);
+  BunchId b = cluster_->CreateBunch(0);
+  BunchId other = cluster_->CreateBunch(0);
+  // 240 objects of ~3.9 KB: four segments.  Objects [0, 160) are the strong
+  // region; [160, 240) is reachable only through `x` below.
+  constexpr uint32_t kSlots = 480;
+  std::vector<Gaddr> objs = AllocGraph(*mutators_[0], b, 240, 160, kSlots);
+  mutators_[0]->AddRoot(objs[0]);
+  mutators_[0]->AddRoot(objs[1]);
+  mutators_[0]->AddRoot(objs[80]);
+
+  // `x` holds an inter-bunch stub at node 0; moving its ownership to node 1
+  // leaves node 0 an intra-bunch scion for it (invariant 3), a weak root.
+  Gaddr x = mutators_[0]->Alloc(b, 3);
+  Gaddr out = mutators_[0]->Alloc(other, 1);
+  mutators_[0]->AddRoot(out);
+  mutators_[0]->WriteRef(x, 0, objs[160]);
+  mutators_[0]->WriteRef(x, 1, objs[200]);
+  mutators_[0]->WriteRef(x, 2, out);
+  ASSERT_TRUE(mutators_[1]->AcquireWrite(x));
+  mutators_[1]->Release(x);
+  // `z`: a strongly reachable replica node 0 does not own.
+  Gaddr z = mutators_[1]->Alloc(b, 1);
+  ASSERT_TRUE(mutators_[0]->AcquireRead(z));
+  mutators_[0]->Release(z);
+  mutators_[0]->AddRoot(z);
+  cluster_->Pump();
+
+  Node& node = cluster_->node(0);
+  Oid x_oid = OidOf(node, x);
+  Oid z_oid = OidOf(node, z);
+  ASSERT_EQ(node.gc().TablesOf(b).intra_scions.size(), 1u);
+  ASSERT_EQ(node.gc().TablesOf(b).intra_scions[0].oid, x_oid);
+  const auto& entering = cluster_->node(1).dsm().EnteringFor(b);
+  ASSERT_TRUE(entering.count(x_oid) > 0 && entering.at(x_oid).count(0) > 0);
+  ASSERT_TRUE(entering.count(z_oid) > 0 && entering.at(z_oid).count(0) > 0);
+
+  std::vector<Gaddr> weak_only;
+  std::vector<Gaddr> expected = ExpectedLive(*cluster_, node, *mutators_[0], b, &weak_only);
+  ASSERT_GE(SegmentsSpanned(expected), 4u);
+  ASSERT_GE(SegmentsSpanned(weak_only), 2u);
+  ASSERT_LT(expected.size(), objs.size() + 2);  // some of the graph is garbage
+  EXPECT_EQ(node.gc().LiveObjects(b), expected);
+  GcEngine::HeapReport report = node.gc().ReportOf(b);
+  EXPECT_EQ(report.live_objects, expected.size());
+  EXPECT_EQ(report.live_bytes, FootprintOf(node, expected));
+  EXPECT_EQ(node.gc().LiveBytesOf(b), FootprintOf(node, expected));
+
+  // The collection keeps every live object, weak-only ones included, and
+  // copies all but the two it does not own.
+  node.gc().CollectBunch(b);
+  cluster_->Pump();
+  EXPECT_EQ(node.gc().stats().objects_copied, expected.size() - 2);
+  std::vector<Gaddr> after = ExpectedLive(*cluster_, node, *mutators_[0], b, &weak_only);
+  EXPECT_EQ(after.size(), expected.size());
+  EXPECT_EQ(node.gc().LiveObjects(b), after);
+  report = node.gc().ReportOf(b);
+  EXPECT_EQ(report.live_objects, after.size());
+  EXPECT_EQ(report.live_bytes, FootprintOf(node, after));
+  EXPECT_EQ(node.gc().LiveBytesOf(b), FootprintOf(node, after));
+
+  // Node 0's table named `z` as an exiting ownerPtr but not the weak-only
+  // `x`, so the owner's cleaner pruned only x's entering entry (§6.2).
+  EXPECT_TRUE(entering.count(z_oid) > 0 && entering.at(z_oid).count(0) > 0);
+  EXPECT_FALSE(entering.count(x_oid) > 0 && entering.at(x_oid).count(0) > 0);
+}
+
+// The heap after a run of collections, as one comparable record: every
+// object header of every bunch segment on every node, then the traffic
+// fingerprint.
+std::vector<std::string> CollectionOutcome(size_t threads, uint64_t* pool_regions) {
+  TaskPool::SetThreadsForTesting(threads);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  Cluster cluster(options);
+  std::vector<std::unique_ptr<Mutator>> mutators;
+  for (size_t i = 0; i < 3; ++i) {
+    mutators.push_back(std::make_unique<Mutator>(&cluster.node(i)));
+  }
+  BunchId b = cluster.CreateBunch(0);
+  BunchId c = cluster.CreateBunch(1);
+  std::vector<Gaddr> objs = AllocGraph(*mutators[0], b, 200, 120, 480);
+  for (size_t i = 0; i < 200; i += 37) {
+    mutators[0]->AddRoot(objs[i]);
+  }
+  // Node 1: its own bunch referencing into b, and replicas of b objects.
+  Gaddr holder = mutators[1]->Alloc(c, 2);
+  mutators[1]->AddRoot(holder);
+  mutators[1]->WriteRef(holder, 0, objs[130]);
+  for (size_t i : {3, 74, 150}) {
+    EXPECT_TRUE(mutators[1]->AcquireRead(objs[i]));
+    mutators[1]->Release(objs[i]);
+    mutators[1]->AddRoot(objs[i]);
+  }
+  // Node 2 takes ownership of an object holding an inter-bunch stub.
+  Gaddr moved = mutators[0]->Alloc(b, 2);
+  mutators[0]->WriteRef(moved, 0, objs[190]);
+  mutators[0]->WriteRef(moved, 1, holder);
+  EXPECT_TRUE(mutators[2]->AcquireWrite(moved));
+  mutators[2]->Release(moved);
+  cluster.Pump();
+
+  *pool_regions = 0;
+  auto collect = [&](auto&& run) {
+    uint64_t before = GlobalPerfCounters().pool_regions;
+    run();
+    *pool_regions += GlobalPerfCounters().pool_regions - before;
+    cluster.Pump();
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (size_t n = 0; n < 3; ++n) {
+      collect([&] { cluster.node(n).gc().CollectBunch(b); });
+      collect([&] { cluster.node(n).gc().CollectBunch(c); });
+    }
+    collect([&] { cluster.node(0).gc().CollectGroup(); });
+    collect([&] { cluster.node(1).gc().CollectGroup({b, c}); });
+  }
+
+  std::vector<std::string> out;
+  for (size_t n = 0; n < 3; ++n) {
+    ReplicaStore& store = cluster.node(n).store();
+    for (BunchId bunch : {b, c}) {
+      for (SegmentId seg : store.SegmentsOfBunch(bunch)) {
+        store.Find(seg)->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+          out.push_back(std::to_string(n) + " " + std::to_string(addr) + " oid " +
+                        std::to_string(header.oid) + " fwd " + std::to_string(header.forward));
+        });
+      }
+    }
+  }
+  out.push_back(cluster.network().stats().Fingerprint());
+  return out;
+}
+
+TEST(BgcSerial, CollectionsOpenNoPoolRegionsAndMatchOneThread) {
+  struct PoolGuard {
+    ~PoolGuard() { TaskPool::SetThreadsForTesting(TaskPool::EnvThreads()); }
+  } guard;
+  uint64_t regions_1 = 0;
+  uint64_t regions_4 = 0;
+  std::vector<std::string> one = CollectionOutcome(1, &regions_1);
+  std::vector<std::string> four = CollectionOutcome(4, &regions_4);
+  EXPECT_EQ(regions_1, 0u);
+  EXPECT_EQ(regions_4, 0u);
+  EXPECT_GT(one.size(), 200u);
+  EXPECT_EQ(one, four);
 }
 
 }  // namespace
