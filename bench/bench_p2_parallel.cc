@@ -1,17 +1,15 @@
-// P2 — parallel runtime scaling (DESIGN.md task-pool section, EXPERIMENTS.md
-// P2).
+// P2 — thread-count sweep over three scan-dominated shapes (DESIGN.md §9,
+// EXPERIMENTS.md P2): a replica-side BGC (the collecting node owns nothing,
+// so the copy phase is empty and tracing/scanning dominates), a group
+// collection over several bunches, and a whole-cluster oracle audit.  The
+// heap is many disjoint linked lists, all owned by node 0 and replicated +
+// rooted at node 1.
 //
-// Sweeps BMX_THREADS over the scan-dominated runtime paths the task pool
-// shards: a replica-side BGC (the collecting node owns nothing, so the serial
-// copy phase is empty and tracing/scanning dominates), a group collection
-// over several bunches, and a whole-cluster oracle audit.  The heap is many
-// disjoint linked lists — the wide root forest where per-chunk marking
-// scales — all owned by node 0 and replicated + rooted at node 1.
-//
-// The output must be *identical* at every thread count (the determinism
-// sweep pins that); these benchmarks measure only the wall-clock effect.
-// On a single-core host the >1-thread rows measure oversubscription overhead
-// rather than speedup; see EXPERIMENTS.md for interpretation.
+// All three shapes are plain serial loops: they open no TaskPool region at
+// any thread count (only explorer walk fleets do), so every row of a shape
+// should time the same.  The arms are kept so the sweep stays comparable
+// with the recorded baselines and would show a regression if a shape ever
+// started paying for the thread count.
 
 #include <benchmark/benchmark.h>
 
@@ -62,8 +60,8 @@ struct P2Rig {
   std::vector<BunchId> bunch_ids;
 };
 
-// Replica-side BGC of one bunch: empty copy phase, parallel trace / reference
-// update / sweep / table rebuild.
+// Replica-side BGC of one bunch: empty copy phase; trace, reference update,
+// sweep and table rebuild.
 void P2_BgcReplicaScan(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   TaskPool::SetThreadsForTesting(threads);
@@ -79,7 +77,7 @@ void P2_BgcReplicaScan(benchmark::State& state) {
 }
 BENCHMARK(P2_BgcReplicaScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Replica-side group collection across four bunches (more segments to shard).
+// Replica-side group collection across four bunches.
 void P2_GgcGroupScan(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   TaskPool::SetThreadsForTesting(threads);
@@ -95,8 +93,7 @@ void P2_GgcGroupScan(benchmark::State& state) {
 }
 BENCHMARK(P2_GgcGroupScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Whole-cluster invariant audit (read-only: one rig reused across
-// iterations); per-node checks shard over the pool.
+// Whole-cluster invariant audit (one rig reused across iterations).
 void P2_OracleAudit(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   TaskPool::SetThreadsForTesting(threads);

@@ -84,7 +84,7 @@ inline void PrintPerfCounters() {
       "piggyback_overflow_spills=%llu\n"
       "[perf] recoveries=%llu epoch_rejected_msgs=%llu fault_points_hit=%llu "
       "recovery_query_bytes=%llu\n"
-      "[perf] pool_regions=%llu pool_chunks_executed=%llu pool_steals=%llu\n"
+      "[perf] pool_regions=%llu pool_steals=%llu\n"
       "[perf] history_events_recorded=%llu consistency_checks_run=%llu "
       "consistency_violations=%llu\n"
       "[perf] zombie_dropped_msgs=%llu obligations_opened=%llu "
@@ -107,7 +107,6 @@ inline void PrintPerfCounters() {
       static_cast<unsigned long long>(p.fault_points_hit),
       static_cast<unsigned long long>(p.recovery_query_bytes),
       static_cast<unsigned long long>(p.pool_regions),
-      static_cast<unsigned long long>(p.pool_chunks_executed),
       static_cast<unsigned long long>(p.pool_steals),
       static_cast<unsigned long long>(p.history_events_recorded),
       static_cast<unsigned long long>(p.consistency_checks_run),

@@ -2,17 +2,16 @@
 // observable): how many heap slots the scan kernels visited, how many whole
 // 64-slot words they skipped in one instruction, how often the lookup tables
 // were probed and how often the one-entry MRU cache short-circuited them,
-// what the piggyback coalescer saved on the wire, and what the task pool did.
+// what the piggyback coalescer saved on the wire, and how many walk-fleet
+// batches ran on several threads.
 //
 // The counters are *per-thread*: a plain `++` on a thread-local is the only
-// instrumentation cost the hot paths can afford, and it stays race-free now
-// that BGC shards, explorer walks and oracle audits run on pool workers.  The
-// TaskPool drains each worker's counters into the submitting thread's at the
-// end of every parallel region, so the totals a bench or test reads on its
-// own thread are complete and independent of the thread count.  (Scheduling-
-// dependent counters — MRU hits, steals — are diagnostics, not part of the
-// determinism contract.)  Benchmarks print them (bench_util.h) and reset them
-// per measurement; tests assert on them.
+// instrumentation cost the hot paths can afford, and it stays race-free while
+// explorer walks run on several threads.  TaskPool::ParallelFor folds each
+// helper thread's counters into the caller's before it returns, so the totals
+// a bench or test reads on its own thread are complete and independent of the
+// thread count.  Benchmarks print them (bench_util.h) and reset them per
+// measurement; tests assert on them.
 
 #ifndef SRC_COMMON_PERF_COUNTERS_H_
 #define SRC_COMMON_PERF_COUNTERS_H_
@@ -46,10 +45,9 @@ struct PerfCounters {
   uint64_t fault_points_hit = 0;      // FAULT_POINT sites executed
   uint64_t recovery_query_bytes = 0;  // wire bytes of recovery query/reply traffic
 
-  // Task pool (deterministic parallel runtime).
-  uint64_t pool_regions = 0;          // multi-threaded ParallelFor regions run
-  uint64_t pool_chunks_executed = 0;  // chunks executed across all participants
-  uint64_t pool_steals = 0;           // chunks taken from another shard's deque
+  // Task pool (explorer walk fleet).
+  uint64_t pool_regions = 0;  // ParallelFor calls that ran on several threads
+  uint64_t pool_steals = 0;   // nothing writes it; the perfbench harness reads it
 
   // Client-history recording and consistency verdicts.
   uint64_t history_events_recorded = 0;  // client-observable events recorded
@@ -65,8 +63,8 @@ struct PerfCounters {
 
   void Reset() { *this = PerfCounters{}; }
 
-  // Field-wise accumulation; the TaskPool uses it to fold worker counters
-  // into the submitter's at the end of each parallel region.
+  // Field-wise accumulation; TaskPool::ParallelFor uses it to fold helper
+  // threads' counters into the caller's.
   void Add(const PerfCounters& o) {
     slots_scanned += o.slots_scanned;
     words_skipped += o.words_skipped;
@@ -85,7 +83,6 @@ struct PerfCounters {
     fault_points_hit += o.fault_points_hit;
     recovery_query_bytes += o.recovery_query_bytes;
     pool_regions += o.pool_regions;
-    pool_chunks_executed += o.pool_chunks_executed;
     pool_steals += o.pool_steals;
     history_events_recorded += o.history_events_recorded;
     consistency_checks_run += o.consistency_checks_run;
@@ -100,7 +97,7 @@ struct PerfCounters {
 
 // Per-thread instance.  Header-inline so every layer (bitmap, mem, dsm, gc)
 // can bump counters without a link-time dependency.  On the main thread this
-// holds the process totals (pool workers drain into it via TaskPool).
+// holds the process totals (helper threads fold into it via TaskPool).
 inline PerfCounters& GlobalPerfCounters() {
   static thread_local PerfCounters counters;
   return counters;

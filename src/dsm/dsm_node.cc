@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
-#include "src/common/task_pool.h"
 #include "src/gc/payloads.h"
 #include "src/runtime/history.h"
 
@@ -91,12 +90,9 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
       // Fixed point: compress everything we walked through.  A walk of at
       // most one hop has nothing to compress — its only waypoint already
       // names `current` through the edge the walk took — so the common
-      // direct hit returns here.  Compression is semantically invisible (it
-      // only shortens chains toward the same fixed point), but it turns this
-      // const read into a write — so it stands down while a multi-threaded
-      // parallel region is sharing this node's heap (parallel BGC phases,
-      // oracle audits).  Serial runs compress exactly as before.
-      if (visited.size() < 2 || TaskPool::InParallelRegion()) {
+      // direct hit returns here.  Compression is semantically invisible: it
+      // only shortens chains toward the same fixed point.
+      if (visited.size() < 2) {
         return current;
       }
       for (size_t i = 0; i < visited.size(); ++i) {

@@ -15,7 +15,6 @@
 #ifndef SRC_RUNTIME_EXPLORER_H_
 #define SRC_RUNTIME_EXPLORER_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -130,11 +129,6 @@ class Explorer {
   // replaying.  `stride` overrides options_.oracle_stride.
   RunResult RunOnce(const ExplorerScenario& scenario, uint64_t walk_seed,
                     const Trace* replay, Trace* recorded, uint64_t stride);
-
-  // Multi-threaded Explore: task-pool batches of independent walks, folded in
-  // walk order so the result is identical to the serial loop (see .cc).
-  ExplorationResult ExploreParallel(const ExplorerScenario& scenario, size_t walks,
-                                    std::chrono::steady_clock::time_point start);
 
   ExplorerOptions options_;
 };

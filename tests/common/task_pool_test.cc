@@ -1,6 +1,6 @@
 // TaskPool unit tests: the determinism contract at the pool level.  The
-// system-level half (BGC traffic, explorer results, oracle verdicts across
-// thread counts) lives in tests/integration/determinism_sweep_test.cc.
+// system-level half (explorer fleets and whole runs across thread counts)
+// lives in tests/integration/determinism_sweep_test.cc.
 
 #include "src/common/task_pool.h"
 
@@ -43,7 +43,7 @@ TEST(TaskPoolTest, ParallelMapMergesInSubmissionOrder) {
 TEST(TaskPoolTest, EveryIndexRunsExactlyOnce) {
   PoolGuard guard;
   TaskPool::SetThreadsForTesting(4);
-  constexpr size_t kN = 513;  // deliberately not a multiple of the chunking
+  constexpr size_t kN = 513;  // deliberately not a multiple of the thread count
   std::vector<std::atomic<int>> hits(kN);
   TaskPool::Global().ParallelFor(kN, [&](size_t i) { hits[i]++; });
   for (size_t i = 0; i < kN; ++i) {
@@ -57,45 +57,15 @@ TEST(TaskPoolTest, MultipleThreadsActuallyParticipate) {
   std::mutex mu;
   std::set<std::thread::id> seen;
   TaskPool::Global().ParallelFor(64, [&](size_t) {
-    // Each iteration yields the CPU long enough for workers to wake and steal
-    // even on a single-core host; the assertion is >= 2 participants, not all
-    // 4 (which chunks a worker wins is schedule-dependent by design).
+    // Each iteration yields the CPU long enough for helper threads to start
+    // and take indices even on a single-core host; the assertion is >= 2
+    // participants, not all 4 (which thread takes which index is
+    // schedule-dependent by design).
     std::this_thread::sleep_for(std::chrono::microseconds(500));
     std::lock_guard<std::mutex> lock(mu);
     seen.insert(std::this_thread::get_id());
   });
   EXPECT_GE(seen.size(), 2u);
-}
-
-TEST(TaskPoolTest, SingleThreadRunsInlineWithoutRegionFlag) {
-  PoolGuard guard;
-  TaskPool::SetThreadsForTesting(1);
-  bool saw_region = false;
-  TaskPool::Global().ParallelFor(64, [&](size_t) {
-    saw_region = saw_region || TaskPool::InParallelRegion();
-  });
-  EXPECT_FALSE(saw_region);  // the 1-thread path is the exact legacy loop
-}
-
-TEST(TaskPoolTest, NestedRegionsRunInline) {
-  PoolGuard guard;
-  TaskPool::SetThreadsForTesting(4);
-  std::vector<uint64_t> outer = TaskPool::Global().ParallelMap<uint64_t>(8, [](size_t i) {
-    EXPECT_TRUE(TaskPool::InParallelRegion());
-    // A nested map must run inline on this worker (no deadlock on the single
-    // global region) and still merge in order.
-    std::vector<uint64_t> inner =
-        TaskPool::Global().ParallelMap<uint64_t>(16, [i](size_t j) { return i * 100 + j; });
-    uint64_t sum = 0;
-    for (size_t j = 0; j < inner.size(); ++j) {
-      EXPECT_EQ(inner[j], i * 100 + j);
-      sum += inner[j];
-    }
-    return sum;
-  });
-  for (size_t i = 0; i < outer.size(); ++i) {
-    EXPECT_EQ(outer[i], i * 100 * 16 + 120);
-  }
 }
 
 TEST(TaskPoolTest, LowestIndexedExceptionWinsDeterministically) {
@@ -105,7 +75,7 @@ TEST(TaskPoolTest, LowestIndexedExceptionWinsDeterministically) {
     std::string caught;
     try {
       TaskPool::Global().ParallelFor(300, [](size_t i) {
-        if (i % 37 == 5) {  // several chunks throw
+        if (i % 37 == 5) {  // several indices throw
           throw std::runtime_error("boom@" + std::to_string(i));
         }
       });
@@ -113,9 +83,8 @@ TEST(TaskPoolTest, LowestIndexedExceptionWinsDeterministically) {
     } catch (const std::runtime_error& e) {
       caught = e.what();
     }
-    // The kept exception comes from the lowest-indexed throwing chunk, and
-    // within a chunk iteration order is sequential — so index 5 always wins,
-    // at any thread count and under any steal schedule.
+    // The kept exception comes from the lowest throwing index, so index 5
+    // always wins, at any thread count and under any schedule.
     EXPECT_EQ(caught, "boom@5") << "threads=" << threads;
   }
 }
@@ -128,7 +97,7 @@ TEST(TaskPoolTest, PerfCounterTotalsIndependentOfThreadCount) {
     TaskPool::SetThreadsForTesting(threads);
     GlobalPerfCounters().Reset();
     TaskPool::Global().ParallelFor(500, [](size_t) { GlobalPerfCounters().objects_walked++; });
-    // Worker-side increments must drain back to the submitting thread by the
+    // Helper-thread increments must fold back into the calling thread by the
     // time ParallelFor returns.
     totals[runs++] = GlobalPerfCounters().objects_walked;
   }
@@ -142,75 +111,34 @@ TEST(TaskPoolTest, EmptyAndSingletonRegions) {
   size_t ran = 0;
   TaskPool::Global().ParallelFor(0, [&](size_t) { ran++; });
   EXPECT_EQ(ran, 0u);
+  std::thread::id caller = std::this_thread::get_id();
   TaskPool::Global().ParallelFor(1, [&](size_t i) {
     EXPECT_EQ(i, 0u);
-    EXPECT_FALSE(TaskPool::InParallelRegion());  // n==1 runs inline
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // n==1 runs inline
     ran++;
   });
   EXPECT_EQ(ran, 1u);
 }
 
-TEST(TaskPoolTest, ThrowFromStolenChunkRethrowsAndPoolSurvives) {
+TEST(TaskPoolTest, PoolRegionsCountOnlyMultiThreadedCalls) {
   PoolGuard guard;
+  GlobalPerfCounters().Reset();
+  TaskPool::SetThreadsForTesting(1);
+  TaskPool::Global().ParallelFor(8, [](size_t) {});
+  EXPECT_EQ(GlobalPerfCounters().pool_regions, 0u);
   TaskPool::SetThreadsForTesting(4);
-  // The submitting thread dawdles in the low chunks so workers wake up and
-  // steal the tail; a high-indexed iteration then throws — from a stolen
-  // chunk on most schedules.  Whatever thread threw, the exception must
-  // surface on the submitting thread and the pool must stay usable.
-  std::string caught;
-  try {
-    TaskPool::Global().ParallelFor(256, [](size_t i) {
-      if (i < 8) {
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-      }
-      if (i == 200) {
-        throw std::runtime_error("stolen-boom");
-      }
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const std::runtime_error& e) {
-    caught = e.what();
-  }
-  EXPECT_EQ(caught, "stolen-boom");
-  // No worker is wedged and no region flag leaked: the next region completes.
-  std::vector<uint64_t> got =
-      TaskPool::Global().ParallelMap<uint64_t>(64, [](size_t i) { return i; });
-  ASSERT_EQ(got.size(), 64u);
-  EXPECT_FALSE(TaskPool::InParallelRegion());
-}
-
-TEST(TaskPoolTest, ThrowFromNestedRegionPropagatesThroughWorker) {
-  PoolGuard guard;
-  TaskPool::SetThreadsForTesting(4);
-  // The nested (inline) region throws inside a worker's outer iteration; the
-  // outer region must deterministically rethrow the lowest outer chunk's
-  // exception, and nothing may deadlock on the single global region.
-  std::string caught;
-  try {
-    TaskPool::Global().ParallelFor(32, [](size_t i) {
-      TaskPool::Global().ParallelFor(16, [i](size_t j) {
-        if (i % 4 == 1 && j == 3) {
-          throw std::runtime_error("nested@" + std::to_string(i));
-        }
-      });
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const std::runtime_error& e) {
-    caught = e.what();
-  }
-  // Outer index 1 is in the first outer chunk that throws; within a chunk,
-  // iteration is sequential, so it wins under every steal schedule.
-  EXPECT_EQ(caught, "nested@1");
-  std::vector<uint64_t> got =
-      TaskPool::Global().ParallelMap<uint64_t>(16, [](size_t i) { return i; });
-  ASSERT_EQ(got.size(), 16u);
+  TaskPool::Global().ParallelFor(1, [](size_t) {});
+  EXPECT_EQ(GlobalPerfCounters().pool_regions, 0u);
+  TaskPool::Global().ParallelFor(8, [](size_t) {});
+  EXPECT_EQ(GlobalPerfCounters().pool_regions, 1u);
+  GlobalPerfCounters().Reset();
 }
 
 TEST(TaskPoolTest, ResizeAfterFailedRegionsNeverWedges) {
   PoolGuard guard;
-  // Interleave throwing regions with reconfiguration: a failed region must
-  // leave no state that makes the next resize (or the next region at the new
-  // width) hang or miscount.
+  // Interleave throwing calls with reconfiguration: a failed call must leave
+  // no state that makes the next resize (or the next call at the new width)
+  // hang or miscount.
   for (size_t threads : {1u, 2u, 4u, 8u, 2u, 4u}) {
     TaskPool::SetThreadsForTesting(threads);
     try {

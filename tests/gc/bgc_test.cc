@@ -13,6 +13,7 @@
 #include "src/common/task_pool.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
+#include "src/runtime/oracle.h"
 
 namespace bmx {
 namespace {
@@ -445,9 +446,9 @@ TEST_F(BgcTest, LivenessMatchesBruteForceOnMultiSegmentBunchWithWeakRoots) {
   EXPECT_FALSE(entering.count(x_oid) > 0 && entering.at(x_oid).count(0) > 0);
 }
 
-// The heap after a run of collections, as one comparable record: every
-// object header of every bunch segment on every node, then the traffic
-// fingerprint.
+// The heap after rounds of collections, from-space reclamation and oracle
+// audits, as one comparable record: every audit verdict, every object header
+// of every bunch segment on every node, then the traffic fingerprint.
 std::vector<std::string> CollectionOutcome(size_t threads, uint64_t* pool_regions) {
   TaskPool::SetThreadsForTesting(threads);
   ClusterOptions options;
@@ -481,6 +482,8 @@ std::vector<std::string> CollectionOutcome(size_t threads, uint64_t* pool_region
   cluster.Pump();
 
   *pool_regions = 0;
+  std::vector<std::string> out;
+  InvariantOracle oracle(&cluster);
   auto collect = [&](auto&& run) {
     uint64_t before = GlobalPerfCounters().pool_regions;
     run();
@@ -494,9 +497,20 @@ std::vector<std::string> CollectionOutcome(size_t threads, uint64_t* pool_region
     }
     collect([&] { cluster.node(0).gc().CollectGroup(); });
     collect([&] { cluster.node(1).gc().CollectGroup({b, c}); });
+    for (size_t n = 0; n < 3; ++n) {
+      collect([&] { cluster.node(n).gc().ReclaimFromSpaces(b); });
+      collect([&] { cluster.node(n).gc().ReclaimFromSpaces(c); });
+    }
+    collect([&] {
+      for (const std::string& v : oracle.Check()) {
+        out.push_back("round " + std::to_string(round) + " check: " + v);
+      }
+      for (const std::string& v : oracle.CheckStable()) {
+        out.push_back("round " + std::to_string(round) + " stable: " + v);
+      }
+    });
   }
 
-  std::vector<std::string> out;
   for (size_t n = 0; n < 3; ++n) {
     ReplicaStore& store = cluster.node(n).store();
     for (BunchId bunch : {b, c}) {
@@ -508,11 +522,17 @@ std::vector<std::string> CollectionOutcome(size_t threads, uint64_t* pool_region
       }
     }
   }
+  uint64_t freed = 0;
+  for (size_t n = 0; n < 3; ++n) {
+    freed += cluster.node(n).gc().stats().segments_freed;
+  }
+  EXPECT_GT(freed, 0u);  // the reclaim rounds did real work
+  out.push_back("segments freed " + std::to_string(freed));
   out.push_back(cluster.network().stats().Fingerprint());
   return out;
 }
 
-TEST(BgcSerial, CollectionsOpenNoPoolRegionsAndMatchOneThread) {
+TEST(BgcSerial, CollectionsReclaimAndAuditsOpenNoPoolRegionsAndMatchOneThread) {
   struct PoolGuard {
     ~PoolGuard() { TaskPool::SetThreadsForTesting(TaskPool::EnvThreads()); }
   } guard;
@@ -522,8 +542,13 @@ TEST(BgcSerial, CollectionsOpenNoPoolRegionsAndMatchOneThread) {
   std::vector<std::string> four = CollectionOutcome(4, &regions_4);
   EXPECT_EQ(regions_1, 0u);
   EXPECT_EQ(regions_4, 0u);
-  EXPECT_GT(one.size(), 200u);
+  // Reclamation frees the from-spaces, so the record holds the surviving
+  // objects (over 100 of the 200-object graph), not their forwarders too.
+  EXPECT_GT(one.size(), 100u);
   EXPECT_EQ(one, four);
+  for (const std::string& line : one) {
+    EXPECT_NE(line.rfind("round ", 0), 0u) << "audit verdict: " << line;
+  }
 }
 
 }  // namespace
