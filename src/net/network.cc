@@ -185,6 +185,31 @@ uint64_t LinkStreamSeed(uint64_t root, NodeId src, NodeId dst, RngStream stream)
                   (static_cast<uint64_t>(dst) + 1) * 0xbf58476d1ce4e5b9ull;
   return DeriveStreamSeed(root ^ salt, stream);
 }
+
+// Step cap for RunUntilIdle; exceeding it is a fatal diagnostic (the network
+// dump plus any open obligations) instead of an unbounded spin.
+constexpr uint64_t kQuiesceBudget = 50'000'000;
+
+// Packs logical messages into one frame.  In-process payloads are typed
+// structs, not byte strings; the image carries a zero-filled body of each
+// payload's wire size so the frame's size, checksum and validation cover the
+// real wire cost.
+std::shared_ptr<BatchFramePayload> EncodeFrame(std::vector<BatchedMessage> entries) {
+  auto frame = std::make_shared<BatchFramePayload>();
+  frame->set_category(entries.front().payload->category());
+  std::vector<BatchWireEntry> wire;
+  wire.reserve(entries.size());
+  for (const BatchedMessage& e : entries) {
+    BatchWireEntry w;
+    w.kind = static_cast<uint8_t>(e.payload->kind());
+    w.category = static_cast<uint8_t>(e.payload->category());
+    w.body.resize(e.payload->WireSize(), 0);
+    wire.push_back(std::move(w));
+  }
+  frame->image = EncodeBatchFrame(wire);
+  frame->entries = std::move(entries);
+  return frame;
+}
 }  // namespace
 
 void Network::InstallLinkProfile(NodeId src, NodeId dst, const LinkProfile& profile) {
@@ -210,14 +235,6 @@ void Network::ClearLinkProfile(NodeId src, NodeId dst) {
   for (const auto& [key, ls] : link_profiles_) {
     any_link_latency_ |= ls.profile.latency_ticks > 0;
   }
-}
-
-const LinkProfile* Network::FindLinkProfile(NodeId src, NodeId dst) const {
-  if (link_profiles_.empty()) {
-    return nullptr;
-  }
-  auto it = link_profiles_.find(ChannelKey{src, dst});
-  return it == link_profiles_.end() ? nullptr : &it->second.profile;
 }
 
 Network::LinkState* Network::FindLinkState(const ChannelKey& key) {
@@ -376,6 +393,16 @@ bool Network::DrawChance(DecisionPoint point, double rate, Rng* rng) {
                             [&] { return rng->Chance(rate) ? uint64_t{1} : uint64_t{0}; }) != 0;
 }
 
+bool Network::DrawLinkChance(DecisionPoint point, const ChannelKey& key, double rate, Rng* rng,
+                             double LinkProfile::*link_rate, Rng LinkState::*link_rng) {
+  LinkState* link = FindLinkState(key);
+  if (link != nullptr && link->profile.*link_rate >= 0) {
+    rate = link->profile.*link_rate;
+    rng = &(link->*link_rng);
+  }
+  return DrawChance(point, rate, rng);
+}
+
 void Network::PartitionNodes(NodeId a, NodeId b) {
   BMX_CHECK_NE(a, b);
   partitions_.insert({std::min(a, b), std::max(a, b)});
@@ -408,15 +435,11 @@ void Network::CountWireCopy(const Payload& payload) {
   stats_.ForCategory(payload.category()).wire_bytes += size;
 }
 
-void Network::CountParked(Channel* channel, const Message& msg) {
-  auto it = channel->unacked.find(msg.rel_seq);
-  if (it == channel->unacked.end() || it->second.parked_counted) {
-    // Already retired, or already counted for this down period — a duplicated
-    // wire copy reaching a dead destination must not park the payload twice.
-    return;
+void Network::CountParked(RetxEntry* entry) {
+  if (!entry->parked_counted) {
+    entry->parked_counted = true;
+    stats_.For(entry->msg.payload->kind()).parked++;
   }
-  it->second.parked_counted = true;
-  stats_.For(msg.payload->kind()).parked++;
 }
 
 uint64_t Network::IncarnationOf(NodeId node) const {
@@ -458,27 +481,14 @@ void Network::RegisterNode(NodeId node, MessageHandler* handler) {
     held.swap(channel.unacked);
     unacked_count_ -= held.size();
     for (auto& [old_rel_seq, entry] : held) {
-      Message msg = entry.msg;
-      msg.seq = channel.next_seq++;
-      msg.rel_seq = channel.next_rel_seq++;
       // The replay is a fresh transmission by a live sender to the node's new
-      // incarnation: re-stamp both epochs or the copy would be rejected as
-      // addressed to the dead one.
-      msg.src_epoch = IncarnationOf(key.first);
-      msg.dst_epoch = incarnation_[node];
-      msg.ready_at = ReadyAt(key);
-      RetxEntry replay;
-      replay.msg = msg;
-      replay.next_retry = now_ + retry_.BackoffFor(0, msg.rel_seq);
-      // parked_counted resets with the fresh entry: if this incarnation dies
-      // too, the payload parks (and counts) again for the new down period.
-      channel.unacked.emplace(msg.rel_seq, replay);
-      unacked_count_++;
-      channel.queue.push_back(std::move(msg));
-      pending_++;
-      stats_.wire_messages++;
+      // incarnation: Stamp gives it both current epochs (or the copy would be
+      // rejected as addressed to the dead one) and a fresh entry, whose
+      // parked_counted is clear — if this incarnation dies too, the payload
+      // parks (and counts) again for the new down period.
       stats_.For(entry.msg.payload->kind()).redelivered++;
       CountWireCopy(*entry.msg.payload);
+      Append(&channel, Stamp(key, &channel, entry.msg.payload));
     }
     SyncQueued(key, &channel);
   }
@@ -492,20 +502,66 @@ void Network::SyncQueued(const ChannelKey& key, Channel* channel) {
   }
 }
 
+void Network::Append(Channel* channel, Message msg, bool one_early) {
+  if (channel->queue.empty()) {
+    queued_.emplace(ChannelKey{msg.src, msg.dst}, channel);
+  }
+  if (one_early) {
+    channel->queue.insert(channel->queue.end() - 1, std::move(msg));
+  } else {
+    channel->queue.push_back(std::move(msg));
+  }
+  pending_++;
+  stats_.wire_messages++;
+}
+
 void Network::Enqueue(Channel* channel, Message msg) {
   bool reorder = !channel->queue.empty() &&
                  DrawChance(DecisionPoint::kReorder, reorder_rate_, &reorder_rng_);
   if (reorder) {
     stats_.For(msg.payload->kind()).reordered++;
-    channel->queue.insert(channel->queue.end() - 1, std::move(msg));
-  } else {
-    if (channel->queue.empty()) {
-      queued_.emplace(ChannelKey{msg.src, msg.dst}, channel);
-    }
-    channel->queue.push_back(std::move(msg));
   }
-  pending_++;
-  stats_.wire_messages++;
+  Append(channel, std::move(msg), reorder);
+}
+
+Message Network::Stamp(const ChannelKey& key, Channel* channel,
+                       std::shared_ptr<const Payload> payload) {
+  Message msg;
+  msg.src = key.first;
+  msg.dst = key.second;
+  msg.seq = channel->next_seq++;
+  msg.rel_seq = payload->reliable() ? channel->next_rel_seq++ : 0;
+  msg.src_epoch = IncarnationOf(key.first);
+  msg.dst_epoch = IncarnationOf(key.second);
+  msg.ready_at = ReadyAt(key);
+  msg.payload = std::move(payload);
+  if (msg.payload->reliable()) {
+    // A channel restarts its numbering only with an empty unacked buffer
+    // (DisconnectNode clears the dead sender's; RegisterNode renumbers what
+    // it replays), so a fresh rel_seq is never already taken.
+    RetxEntry entry{msg, 0, now_ + retry_.BackoffFor(0)};
+    bool filed = channel->unacked.emplace(msg.rel_seq, std::move(entry)).second;
+    BMX_CHECK(filed) << "rel_seq " << msg.rel_seq << " already unacked on channel " << key.first
+                     << "->" << key.second;
+    unacked_count_++;
+  }
+  return msg;
+}
+
+void Network::Transmit(const ChannelKey& key, Channel* channel,
+                       std::shared_ptr<const Payload> payload) {
+  CountWireCopy(*payload);
+  Message msg = Stamp(key, channel, std::move(payload));
+  if (DrawLinkChance(DecisionPoint::kDuplication, key, duplication_rate_, &dup_rng_,
+                     &LinkProfile::duplication_rate, &LinkState::dup_rng)) {
+    // The duplicate is a second wire copy of the SAME message: it keeps the
+    // original seq/rel_seq (that is what receiver-side dedup keys on) and its
+    // bytes count as real traffic.
+    stats_.For(msg.payload->kind()).duplicated++;
+    CountWireCopy(*msg.payload);
+    Enqueue(channel, msg);
+  }
+  Enqueue(channel, std::move(msg));
 }
 
 void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Payload> payload) {
@@ -538,68 +594,20 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Payload> payloa
     }
     FlushBatchFor({src, dst}, &stats_.batching.flush_ordering);
   }
-  CountWireCopy(*payload);
-
-  // An installed LinkProfile substitutes per-link (rate, rng) pairs at the
-  // existing decision points; the decision-stream shape is unchanged, so
-  // record/replay covers gray-failure runs for free.
-  LinkState* link = FindLinkState({src, dst});
-  bool reliable = payload->reliable();
-  if (!reliable) {
-    double rate = loss_rate_;
-    Rng* rng = &loss_rng_;
-    if (link != nullptr && link->profile.loss_rate >= 0) {
-      rate = link->profile.loss_rate;
-      rng = &link->loss_rng;
-    }
-    if (DrawChance(DecisionPoint::kUnreliableLoss, rate, rng)) {
-      pk.dropped++;
-      return;
-    }
+  if (!payload->reliable() &&
+      DrawLinkChance(DecisionPoint::kUnreliableLoss, {src, dst}, loss_rate_, &loss_rng_,
+                     &LinkProfile::loss_rate, &LinkState::loss_rng)) {
+    pk.dropped++;
+    CountWireCopy(*payload);  // lost in flight: it still left the sender
+    return;
   }
-
   Channel& channel = channels_[{src, dst}];
-  Message msg;
-  msg.src = src;
-  msg.dst = dst;
-  msg.seq = channel.next_seq++;
-  msg.rel_seq = reliable ? channel.next_rel_seq++ : 0;
-  msg.src_epoch = IncarnationOf(src);
-  msg.dst_epoch = IncarnationOf(dst);
-  msg.ready_at = ReadyAt({src, dst});
-  msg.payload = std::move(payload);
   // Causality observation for the consistency checker: one snapshot per
-  // logical send, keyed by wire identity.  Duplicates and retransmissions
-  // reuse the key; redelivery re-stamps (and is not re-reported — crash-free
-  // consistency runs never take that path).
-  BMX_HISTORY_HOOK(history_, OnSend(src, dst, msg.seq));
-
-  if (reliable) {
-    RetxEntry entry;
-    entry.msg = msg;
-    entry.next_retry = now_ + retry_.BackoffFor(0, msg.rel_seq);
-    // A send to a disconnected node restarts rel_seq numbering under its
-    // parked entries, so the key may already be taken.
-    if (channel.unacked.emplace(msg.rel_seq, std::move(entry)).second) {
-      unacked_count_++;
-    }
-  }
-
-  double dup_rate = duplication_rate_;
-  Rng* dup_rng = &dup_rng_;
-  if (link != nullptr && link->profile.duplication_rate >= 0) {
-    dup_rate = link->profile.duplication_rate;
-    dup_rng = &link->dup_rng;
-  }
-  if (DrawChance(DecisionPoint::kDuplication, dup_rate, dup_rng)) {
-    // The duplicate is a second wire copy of the SAME message: it keeps the
-    // original seq/rel_seq (that is what receiver-side dedup keys on) and its
-    // bytes count as real traffic.
-    pk.duplicated++;
-    CountWireCopy(*msg.payload);
-    Enqueue(&channel, msg);
-  }
-  Enqueue(&channel, std::move(msg));
+  // logical send, keyed by the wire identity Transmit stamps next.
+  // Duplicates and retransmissions reuse the key; redelivery re-stamps (and
+  // is not re-reported — crash-free consistency runs never take that path).
+  BMX_HISTORY_HOOK(history_, OnSend(src, dst, channel.next_seq));
+  Transmit({src, dst}, &channel, std::move(payload));
 }
 
 void Network::set_batch_policy(const BatchPolicy& policy) {
@@ -690,89 +698,49 @@ size_t Network::FlushAllBatches() {
 void Network::FlushBatch(const ChannelKey& key, PendingBatch batch) {
   BMX_CHECK(!batch.entries.empty());
   pending_batched_ -= batch.entries.size();
-  auto frame = std::make_shared<BatchFramePayload>();
-  frame->set_category(batch.entries.front().payload->category());
-  std::vector<BatchWireEntry> wire;
-  wire.reserve(batch.entries.size());
-  for (const BatchedMessage& e : batch.entries) {
-    BatchWireEntry w;
-    w.kind = static_cast<uint8_t>(e.payload->kind());
-    w.category = static_cast<uint8_t>(e.payload->category());
-    // In-process payloads are typed structs, not byte strings; the image
-    // carries a zero-filled body of the payload's wire size so the frame's
-    // size, checksum and validation cover the real wire cost.
-    w.body.resize(e.payload->WireSize(), 0);
-    wire.push_back(std::move(w));
-  }
-  frame->image = EncodeBatchFrame(wire);
-  frame->entries = std::move(batch.entries);
   stats_.batching.frames_sent++;
-
-  // Wire path, mirroring the tail of Send(): the frame is a reliable payload
-  // like any other — duplication draws, in-flight loss, retransmission,
-  // dedup, parking and redelivery all apply to it, at the same decision
-  // points, so record/replay covers batched runs unchanged.
-  Channel& channel = channels_[key];
-  Message msg;
-  msg.src = key.first;
-  msg.dst = key.second;
-  msg.seq = channel.next_seq++;
-  msg.rel_seq = channel.next_rel_seq++;
-  msg.src_epoch = IncarnationOf(key.first);
-  msg.dst_epoch = IncarnationOf(key.second);
-  msg.ready_at = ReadyAt(key);
-  msg.payload = std::move(frame);
-  CountWireCopy(*msg.payload);
-
-  RetxEntry entry;
-  entry.msg = msg;
-  entry.next_retry = now_ + retry_.BackoffFor(0, msg.rel_seq);
-  if (channel.unacked.emplace(msg.rel_seq, std::move(entry)).second) {
-    unacked_count_++;
-  }
-
-  LinkState* link = FindLinkState(key);
-  double dup_rate = duplication_rate_;
-  Rng* dup_rng = &dup_rng_;
-  if (link != nullptr && link->profile.duplication_rate >= 0) {
-    dup_rate = link->profile.duplication_rate;
-    dup_rng = &link->dup_rng;
-  }
-  if (DrawChance(DecisionPoint::kDuplication, dup_rate, dup_rng)) {
-    stats_.For(msg.payload->kind()).duplicated++;
-    CountWireCopy(*msg.payload);
-    Enqueue(&channel, msg);
-  }
-  Enqueue(&channel, std::move(msg));
+  // The frame is a reliable payload like any other — duplication draws,
+  // in-flight loss, retransmission, dedup, parking and redelivery all apply
+  // to it, at the same decision points, so record/replay covers batched runs
+  // unchanged.
+  Transmit(key, &channels_[key], EncodeFrame(std::move(batch.entries)));
 }
 
-bool Network::DispatchReliable(const ChannelKey& key, MessageHandler* handler,
-                               const Message& msg) {
-  if (msg.payload->kind() != MsgKind::kBatchFrame) {
-    if (ZombieDrop(key, msg)) {
-      // Zombie link/peer: the transport completed (acked, deduplicated,
-      // reassembled) but dispatch is silently swallowed — a wire event, not a
-      // delivery (mirroring the parked/redelivered accounting convention).
-      stats_.For(msg.payload->kind()).zombie_dropped++;
-      GlobalPerfCounters().zombie_dropped_msgs++;
-      return true;
-    }
-    stats_.For(msg.payload->kind()).delivered++;
-    // Join before the handler runs: messages the handler sends must carry
-    // the sender's post-join clock, or causality through a relay is lost.
-    BMX_HISTORY_HOOK(history_, OnDeliver(msg.src, msg.dst, msg.seq));
-    if (!Dispatch(handler, msg)) {
-      return false;
-    }
-    if (delivery_observer_) {
-      delivery_observer_(msg);
-    }
+bool Network::HandOff(const ChannelKey& key, MessageHandler* handler, const Message& msg) {
+  if (ZombieDrop(key, msg)) {
+    // Zombie link/peer: the transport completed (acked, deduplicated,
+    // reassembled) but dispatch is silently swallowed — a wire event, not a
+    // delivery (mirroring the parked/redelivered accounting convention).
+    stats_.For(msg.payload->kind()).zombie_dropped++;
+    GlobalPerfCounters().zombie_dropped_msgs++;
     return true;
   }
+  stats_.For(msg.payload->kind()).delivered++;
+  // Join before the handler runs: messages the handler sends must carry the
+  // sender's post-join clock, or causality through a relay is lost.
+  BMX_HISTORY_HOOK(history_, OnDeliver(msg.src, msg.dst, msg.seq));
+  try {
+    handler->HandleMessage(msg);
+  } catch (const NodeCrashSignal& signal) {
+    BMX_CHECK(crash_listener_ != nullptr)
+        << "fault site " << signal.site << " crashed node " << signal.node
+        << " with no crash listener installed";
+    crash_listener_(signal.node);
+    return false;
+  }
+  if (delivery_observer_) {
+    delivery_observer_(msg);
+  }
+  return true;
+}
 
+bool Network::Deliver(const ChannelKey& key, MessageHandler* handler, const Message& msg) {
+  if (msg.payload->kind() != MsgKind::kBatchFrame) {
+    return HandOff(key, handler, msg);
+  }
   // Batch frame: decode and verify the wire image against the in-process
   // entry list (the codec runs on every batched delivery, not just in its
-  // property tests), then dispatch each logical message in send order.
+  // property tests), then hand off each logical message in send order.
   const auto& frame = static_cast<const BatchFramePayload&>(*msg.payload);
   std::vector<BatchWireEntry> decoded;
   std::string error;
@@ -788,18 +756,8 @@ bool Network::DispatchReliable(const ChannelKey& key, MessageHandler* handler,
     Message inner = msg;
     inner.seq = e.seq;
     inner.payload = e.payload;
-    if (ZombieDrop(key, inner)) {
-      stats_.For(inner.payload->kind()).zombie_dropped++;
-      GlobalPerfCounters().zombie_dropped_msgs++;
-      continue;
-    }
-    stats_.For(inner.payload->kind()).delivered++;
-    BMX_HISTORY_HOOK(history_, OnDeliver(inner.src, inner.dst, inner.seq));
-    if (!Dispatch(handler, inner)) {
+    if (!HandOff(key, handler, inner)) {
       return false;  // crashed mid-frame: the rest died with the incarnation
-    }
-    if (delivery_observer_) {
-      delivery_observer_(inner);
     }
   }
   return true;
@@ -827,19 +785,6 @@ bool Network::StaleEpoch(const Message& msg) const {
     return true;  // addressed to a previous life of the receiver
   }
   return false;
-}
-
-bool Network::Dispatch(MessageHandler* handler, const Message& msg) {
-  try {
-    handler->HandleMessage(msg);
-    return true;
-  } catch (const NodeCrashSignal& signal) {
-    BMX_CHECK(crash_listener_ != nullptr)
-        << "fault site " << signal.site << " crashed node " << signal.node
-        << " with no crash listener installed";
-    crash_listener_(signal.node);
-    return false;
-  }
 }
 
 Network::Channel* Network::PickDeliveryChannel(ChannelKey* key_out) {
@@ -979,28 +924,24 @@ bool Network::DeliverOne() {
     if (reliable) {
       // Destination crashed or never attached: hold for redelivery.  The
       // unacked entry *is* the parked copy; it is counted once per down
-      // period no matter how many wire copies arrive here.
-      CountParked(&channel, msg);
+      // period no matter how many wire copies arrive here (a copy whose
+      // entry already retired parks nothing).
+      auto it = channel.unacked.find(msg.rel_seq);
+      if (it != channel.unacked.end()) {
+        CountParked(&it->second);
+      }
     } else {
       pk.dropped++;
     }
     return true;
   }
   if (reliable) {
-    double rate = reliable_loss_rate_;
-    Rng* rng = &rel_loss_rng_;
-    LinkState* link = FindLinkState(key);
-    if (link != nullptr && link->profile.loss_rate >= 0) {
-      rate = link->profile.loss_rate;
-      rng = &link->rel_loss_rng;
-    }
-    if (DrawChance(DecisionPoint::kReliableLoss, rate, rng)) {
+    // The per-link loss rate governs reliable transmissions on its own stream.
+    if (DrawLinkChance(DecisionPoint::kReliableLoss, key, reliable_loss_rate_, &rel_loss_rng_,
+                       &LinkProfile::loss_rate, &LinkState::rel_loss_rng)) {
       pk.lost_transmissions++;
       return true;
     }
-  }
-
-  if (reliable) {
     if (msg.rel_seq < channel.expected_rel_seq || channel.stashed.count(msg.rel_seq) > 0) {
       // Duplicate (network duplication, retransmission after a lost ack, or
       // a second copy of a stashed message): suppress, but re-ack so the
@@ -1028,7 +969,7 @@ bool Network::DeliverOne() {
       channel.stashed.erase(channel.stashed.begin());
       channel.expected_rel_seq++;
     }
-    if (!DispatchReliable(key, handler->second, msg)) {
+    if (!Deliver(key, handler->second, msg)) {
       return true;  // destination crashed processing this delivery
     }
     for (Message& released : ready) {
@@ -1036,23 +977,13 @@ bool Network::DeliverOne() {
       if (h == handlers_.end()) {
         break;  // destination crashed mid-delivery; volatile state is gone
       }
-      if (!DispatchReliable(key, h->second, released)) {
+      if (!Deliver(key, h->second, released)) {
         return true;  // crashed on a released successor; the rest die too
       }
     }
     return true;
   }
-
-  if (ZombieDrop(key, msg)) {
-    pk.zombie_dropped++;
-    GlobalPerfCounters().zombie_dropped_msgs++;
-    return true;
-  }
-  pk.delivered++;
-  BMX_HISTORY_HOOK(history_, OnDeliver(msg.src, msg.dst, msg.seq));
-  if (Dispatch(handler->second, msg) && delivery_observer_) {
-    delivery_observer_(msg);
-  }
+  HandOff(key, handler->second, msg);
   return true;
 }
 
@@ -1085,19 +1016,13 @@ bool Network::FireRetransmitTimers() {
         continue;
       }
       entry.attempts++;
-      // Exponential, capped; with the default config this is bit-identical to
-      // the legacy base << min(attempts, 16) shift.
-      entry.next_retry = now_ + retry_.BackoffFor(entry.attempts, rel_seq);
+      // Exponential, capped: base << min(attempts, 16) by default.
+      entry.next_retry = now_ + retry_.BackoffFor(entry.attempts);
       stats_.For(entry.msg.payload->kind()).retransmits++;
       CountWireCopy(*entry.msg.payload);
       Message copy = entry.msg;
       copy.ready_at = ReadyAt(key);
-      if (channel.queue.empty()) {
-        queued_.emplace(key, &channel);
-      }
-      channel.queue.push_back(std::move(copy));
-      pending_++;
-      stats_.wire_messages++;
+      Append(&channel, std::move(copy));
       fired = true;
     }
   }
@@ -1130,8 +1055,8 @@ void Network::RunUntilIdle() {
   // unacked entries with live timers, and any open obligations — instead of
   // spinning silently.
   std::string diagnostic;
-  if (!DrainUntilIdle(quiesce_budget_, &diagnostic)) {
-    BMX_CHECK(false) << "network failed to quiesce within " << quiesce_budget_ << " steps\n"
+  if (!DrainUntilIdle(kQuiesceBudget, &diagnostic)) {
+    BMX_CHECK(false) << "network failed to quiesce within " << kQuiesceBudget << " steps\n"
                      << diagnostic;
   }
   // Quiescence contract: the loop above may only stop when every unacked
@@ -1207,78 +1132,42 @@ size_t Network::DropParked(NodeId src, NodeId dst, MsgKind kind) {
   }
   Channel& channel = it->second;
   for (auto u = channel.unacked.begin(); u != channel.unacked.end();) {
-    if (u->second.msg.payload->kind() == kind) {
-      // Also remove any wire copies of this payload still awaiting delivery,
-      // or a future incarnation of dst would see a retransmission of a
-      // payload the sender no longer stands behind.
-      uint64_t rel_seq = u->first;
-      for (auto q = channel.queue.begin(); q != channel.queue.end();) {
-        if (q->payload->reliable() && q->rel_seq == rel_seq &&
-            q->payload->kind() == kind) {
-          pending_--;
-          q = channel.queue.erase(q);
+    const Payload& payload = *u->second.msg.payload;
+    MsgKind wire_kind = payload.kind();
+    size_t matches = wire_kind == kind ? 1 : 0;
+    std::vector<BatchedMessage> kept;
+    if (wire_kind == MsgKind::kBatchFrame) {
+      for (const BatchedMessage& e : static_cast<const BatchFramePayload&>(payload).entries) {
+        if (e.payload->kind() == kind) {
+          matches++;
         } else {
-          ++q;
+          kept.push_back(e);
         }
       }
-      u = channel.unacked.erase(u);
-      unacked_count_--;
-      dropped++;
-    } else {
-      ++u;
-    }
-  }
-  // Unacked frames carrying payloads of this kind are rebuilt without them
-  // (image re-encoded); a frame left empty retires entirely.  Queued wire
-  // copies of the same rel_seq swap to the rebuilt payload so a later
-  // delivery or retransmission never resurrects the dropped messages.
-  for (auto u = channel.unacked.begin(); u != channel.unacked.end();) {
-    if (u->second.msg.payload->kind() != MsgKind::kBatchFrame) {
-      ++u;
-      continue;
-    }
-    const auto& frame = static_cast<const BatchFramePayload&>(*u->second.msg.payload);
-    size_t matches = 0;
-    for (const BatchedMessage& e : frame.entries) {
-      matches += e.payload->kind() == kind ? 1 : 0;
     }
     if (matches == 0) {
       ++u;
       continue;
     }
     dropped += matches;
+    // A frame that keeps other payloads is rebuilt without the dropped ones
+    // (image re-encoded); anything else retires.  Queued wire copies of the
+    // same rel_seq follow suit, or a future incarnation of dst would see a
+    // delivery or retransmission of a payload the sender no longer stands
+    // behind.
     std::shared_ptr<const Payload> replacement;
-    if (matches < frame.entries.size()) {
-      auto rebuilt = std::make_shared<BatchFramePayload>();
-      std::vector<BatchWireEntry> wire;
-      for (const BatchedMessage& e : frame.entries) {
-        if (e.payload->kind() == kind) {
-          continue;
-        }
-        BatchWireEntry w;
-        w.kind = static_cast<uint8_t>(e.payload->kind());
-        w.category = static_cast<uint8_t>(e.payload->category());
-        w.body.resize(e.payload->WireSize(), 0);
-        wire.push_back(std::move(w));
-        rebuilt->entries.push_back(e);
-      }
-      rebuilt->set_category(rebuilt->entries.front().payload->category());
-      rebuilt->image = EncodeBatchFrame(wire);
-      replacement = std::move(rebuilt);
+    if (!kept.empty()) {
+      replacement = EncodeFrame(std::move(kept));
     }
-    uint64_t rel_seq = u->first;
     for (auto q = channel.queue.begin(); q != channel.queue.end();) {
-      if (q->payload->reliable() && q->rel_seq == rel_seq &&
-          q->payload->kind() == MsgKind::kBatchFrame) {
-        if (replacement != nullptr) {
-          q->payload = replacement;
-          ++q;
-        } else {
-          pending_--;
-          q = channel.queue.erase(q);
-        }
-      } else {
+      if (!q->payload->reliable() || q->rel_seq != u->first || q->payload->kind() != wire_kind) {
         ++q;
+      } else if (replacement != nullptr) {
+        q->payload = replacement;
+        ++q;
+      } else {
+        pending_--;
+        q = channel.queue.erase(q);
       }
     }
     if (replacement != nullptr) {
@@ -1345,10 +1234,7 @@ void Network::DisconnectNode(NodeId node) {
       for (auto& [rel_seq, entry] : channel.unacked) {
         // Each payload parks once per down period; a copy that already hit
         // the dead destination in DeliverOne was counted there.
-        if (!entry.parked_counted) {
-          entry.parked_counted = true;
-          stats_.For(entry.msg.payload->kind()).parked++;
-        }
+        CountParked(&entry);
       }
     } else {
       // A crash cannot recall wire copies the node already emitted: queued
@@ -1361,12 +1247,15 @@ void Network::DisconnectNode(NodeId node) {
     // Receiver-side reassembly state of the dead incarnation's stream is
     // meaningless to its successor either way.
     channel.stashed.clear();
-    // Re-registration semantics: sequences RESET.  The next incarnation of
-    // the node starts every channel from seq zero (both directions), so it
-    // can never observe a discontinuity from its predecessor's traffic.
-    channel.next_seq = 0;
-    channel.next_rel_seq = 0;
-    channel.expected_rel_seq = 0;
+    if (from_node) {
+      // The node's next incarnation numbers its outbound channels from zero.
+      // A channel TO the node keeps numbering above its parked entries, so
+      // sends during the outage file behind them; RegisterNode renumbers
+      // the whole buffer from zero when the node comes back.
+      channel.next_seq = 0;
+      channel.next_rel_seq = 0;
+      channel.expected_rel_seq = 0;
+    }
     if (channel.unacked.empty() && channel.queue.empty()) {
       it = channels_.erase(it);  // prune empty channels
     } else {

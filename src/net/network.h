@@ -226,10 +226,6 @@ class Network {
   // checked as in RunUntilIdle).
   bool RunUntilIdleBounded(uint64_t max_steps, std::string* diagnostic);
 
-  // Step cap for RunUntilIdle; exceeding it is a fatal diagnostic (the
-  // network dump plus any open obligations) instead of an unbounded spin.
-  void set_quiesce_budget(uint64_t steps) { quiesce_budget_ = steps; }
-
   // Per-channel pending state: queue depths and head readiness, unacked
   // entries with their earliest retransmit deadline, reassembly stashes —
   // the dump a quiescence-budget failure or a liveness verdict attaches.
@@ -252,19 +248,13 @@ class Network {
   void AdvanceClock(uint64_t ticks) { now_ += ticks; }
   // Base retransmission timeout; attempt k backs off to base << k ticks.
   void set_retransmit_timeout(uint64_t ticks);
-  // Full control over the retransmission schedule (backoff shape, jitter,
-  // cap).  set_retransmit_timeout is shorthand for changing base_timeout.
-  void set_retry_policy(const RetryPolicyConfig& config) { retry_.set_config(config); }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // --- Gray-failure injection (see LinkProfile). ---
   void InstallLinkProfile(NodeId src, NodeId dst, const LinkProfile& profile);
   void ClearLinkProfile(NodeId src, NodeId dst);
-  const LinkProfile* FindLinkProfile(NodeId src, NodeId dst) const;
   // Node-level zombie: every inbound link of the node drops dispatch for all
   // categories (transport stays alive).  Orthogonal to per-link profiles.
   void SetZombieNode(NodeId node, bool zombie);
-  bool IsZombieNode(NodeId node) const { return zombie_nodes_.count(node) > 0; }
 
   // --- Progress obligations (liveness oracle ledger). ---
   // Disabled unless something calls obligations().Enable(); protocol layers
@@ -312,8 +302,8 @@ class Network {
   // handler emits inherit the joined clock.  Pure observation: no wire byte,
   // stat, or decision index changes, so traffic fingerprints and recorded
   // traces stay bit-identical with or without a recorder (pinned by
-  // tests/runtime/consistency_test.cc).  Null disables (single branch per
-  // send/delivery; gone entirely under BMX_DISABLE_HISTORY).
+  // tests/runtime/consistency_test.cc).  Null disables (one branch per
+  // send/delivery).
   void set_history_recorder(HistoryRecorder* recorder) { history_ = recorder; }
   HistoryRecorder* history_recorder() const { return history_; }
 
@@ -353,8 +343,10 @@ class Network {
   // traffic to the node is dropped, and unacked reliable traffic to the node
   // is parked for redelivery.  Wire copies already in flight FROM the node
   // are not recalled — a real crash cannot chase packets — but they carry the
-  // dead incarnation's epoch and are rejected at delivery.  All channel
-  // sequence state touching the node is reset; empty channels are pruned.
+  // dead incarnation's epoch and are rejected at delivery.  Channels from the
+  // node restart their numbering; channels to it keep numbering above their
+  // parked entries until RegisterNode renumbers them.  Empty channels are
+  // pruned.
   void DisconnectNode(NodeId node);
 
   // True while the node has a registered handler (i.e. is not crashed or
@@ -369,8 +361,6 @@ class Network {
   // Must be set before any batchable traffic is pending.
   void set_batch_policy(const BatchPolicy& policy);
   const BatchPolicy& batch_policy() const { return batch_policy_; }
-  // Logical messages currently coalescing (not yet flushed into a frame).
-  size_t PendingBatchedCount() const { return pending_batched_; }
 
   // Drops parked/unacked reliable payloads of one kind from the (src, dst)
   // channel, plus any queued wire copies of them.  Used when the sender
@@ -379,15 +369,6 @@ class Network {
   // already gave up on it (and possibly reissued it elsewhere).  Returns the
   // number of payloads dropped.
   size_t DropParked(NodeId src, NodeId dst, MsgKind kind);
-
-  // --- Incarnation epochs. ---
-  // Every registered node has an incarnation number (first registration = 1);
-  // re-registration after DisconnectNode advances it.  Send() stamps both
-  // endpoints' epochs on the message, and DeliverOne() rejects wire copies
-  // whose stamped epoch no longer matches — the transport-level filter that
-  // makes a previous life's grants, acks and piggybacks inert.  Nodes never
-  // seen by RegisterNode have epoch 0 and are exempt (test harnesses).
-  uint64_t IncarnationOf(NodeId node) const;
 
   // Invoked (if set) when a handler throws NodeCrashSignal mid-delivery: the
   // cluster converts the signal into a node crash (DisconnectNode + deferred
@@ -448,7 +429,25 @@ class Network {
     uint64_t deadline = 0;  // flush no later than this virtual-clock tick
   };
 
+  // Incarnation epochs: every registered node has an incarnation number
+  // (first registration = 1), advanced when DisconnectNode ends a life and
+  // again when RegisterNode starts the next.
+  // Stamp puts both endpoints' epochs on each wire copy, and DeliverOne
+  // rejects copies whose stamped epoch no longer matches — the filter that
+  // makes a previous life's grants, acks and piggybacks inert.  Nodes never
+  // seen by RegisterNode have epoch 0 and are exempt (test harnesses).
+  uint64_t IncarnationOf(NodeId node) const;
+  // Stamps a new transmission on `key` (seq, rel_seq, both epochs, ready_at)
+  // and files the unacked entry of a reliable payload.
+  Message Stamp(const ChannelKey& key, Channel* channel, std::shared_ptr<const Payload> payload);
+  // The wire path of every logical send and batch frame: counts the wire
+  // copy, stamps it, draws duplication and enqueues each copy.
+  void Transmit(const ChannelKey& key, Channel* channel, std::shared_ptr<const Payload> payload);
+  // Enqueues one wire copy, drawing whether it lands one slot early.
   void Enqueue(Channel* channel, Message msg);
+  // Appends one wire copy to its channel's queue (before the tail when
+  // one_early), keeping pending_, queued_ and wire_messages exact.
+  void Append(Channel* channel, Message msg, bool one_early = false);
   // Transport-level ack for a received reliable payload (subject to ack
   // loss).  Returns true if the sender's unacked entry was retired.
   void AckReliable(Channel* channel, uint64_t rel_seq);
@@ -457,22 +456,35 @@ class Network {
   // True if the wire copy was emitted by or addressed to an incarnation that
   // is no longer current (counted in epoch_rejected_msgs by the caller).
   bool StaleEpoch(const Message& msg) const;
-  // Delivers to a handler, converting a thrown NodeCrashSignal into a crash
-  // via the crash listener.  Returns false if the handler crashed.
-  bool Dispatch(MessageHandler* handler, const Message& msg);
+  // Hands one logical message to the destination's handler — unless a
+  // zombie link or peer swallows it — with the delivered stat, the history
+  // join and the delivery observer.  A thrown NodeCrashSignal becomes a crash
+  // via the crash listener; returns false if the handler crashed.
+  bool HandOff(const ChannelKey& key, MessageHandler* handler, const Message& msg);
+  // Hands one in-order delivery to the destination: a batch frame is
+  // verified against its wire image and unpacked into one hand-off per
+  // logical message; anything else is handed off as-is.  Returns false if
+  // the destination crashed mid-dispatch.
+  bool Deliver(const ChannelKey& key, MessageHandler* handler, const Message& msg);
   // One fault draw routed through the decision stream: live/record modes
   // consult the per-purpose rng, replay consults the trace.  A rate of zero
   // consumes no decision index (the draw point does not exist).
   bool DrawChance(DecisionPoint point, double rate, Rng* rng);
+  // DrawChance on the link `key`: an installed LinkProfile's non-negative
+  // link_rate, drawn from the link's own stream, overrides the global (rate,
+  // rng) at the same decision point, so record/replay covers gray-failure
+  // runs unchanged.
+  bool DrawLinkChance(DecisionPoint point, const ChannelKey& key, double rate, Rng* rng,
+                      double LinkProfile::*link_rate, Rng LinkState::*link_rng);
   // Chooses the channel DeliverOne consumes from (scheduler + decision
   // stream); returns nullptr when every queue is empty.
   Channel* PickDeliveryChannel(ChannelKey* key_out);
   // Re-files the channel in queued_ after its queue may have gone from empty
   // to non-empty or back.
   void SyncQueued(const ChannelKey& key, Channel* channel);
-  // Marks the payload behind a wire copy as parked, exactly once per down
-  // period (see RetxEntry::parked_counted).
-  void CountParked(Channel* channel, const Message& msg);
+  // Marks a payload as parked, exactly once per down period (see
+  // RetxEntry::parked_counted).
+  void CountParked(RetxEntry* entry);
   // Routes armed crash-point firings through the decision stream while this
   // network records or replays (see FaultInjector::set_fire_gate).
   void AttachFaultGate();
@@ -496,8 +508,7 @@ class Network {
   // and the history snapshot were already taken by Send); flushes on the
   // size caps.
   void AppendToBatch(NodeId src, NodeId dst, std::shared_ptr<const Payload> payload);
-  // Packs the channel's pending batch into one frame and transmits it through
-  // the shared wire path (dup draw, unacked entry, enqueue).
+  // Packs the channel's pending batch into one frame and transmits it.
   void FlushBatch(const ChannelKey& key, PendingBatch batch);
   // Flushes the pending batch of one channel, if any (ordering trigger).
   void FlushBatchFor(const ChannelKey& key, uint64_t* trigger_counter);
@@ -506,11 +517,6 @@ class Network {
   // Flushes everything pending; returns the number of frames emitted
   // (quiescence trigger in DrainUntilIdle).
   size_t FlushAllBatches();
-  // Hands one in-order reliable delivery to the destination: a batch frame is
-  // verified against its wire image and unpacked into per-logical-message
-  // dispatches; anything else dispatches as-is.  Returns false if the
-  // destination crashed mid-dispatch.
-  bool DispatchReliable(const ChannelKey& key, MessageHandler* handler, const Message& msg);
 
   uint64_t root_seed_;
   // One independent stream per random-decision family (satellite of the
@@ -527,10 +533,8 @@ class Network {
   HistoryRecorder* history_ = nullptr;
   bool fault_gate_attached_ = false;
   uint64_t now_ = 0;
-  // Retransmission schedule (default config reproduces the legacy
-  // base << min(attempts, 16) backoff bit-for-bit).
+  // Retransmission schedule: base << min(attempts, 16) ticks.
   RetryPolicy retry_;
-  uint64_t quiesce_budget_ = 50'000'000;
   // Gray-failure state.  any_link_latency_ lets the scheduler skip the
   // readiness scan entirely when no installed profile inflates latency.
   std::map<ChannelKey, LinkState> link_profiles_;

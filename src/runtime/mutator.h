@@ -58,23 +58,18 @@ class Mutator : public RootProvider {
 
   std::vector<Gaddr*> RootSlots() override;
 
-  // Entry-consistency discipline checks (write token for writes, any token
-  // for reads).  On by default; benchmarks may disable for raw-barrier
-  // microbenchmarks.
-  void set_strict(bool strict) { strict_ = strict; }
-
  private:
+  // Entry-consistency discipline checks: the write token for writes, any
+  // token for reads.
   void CheckWritable(Gaddr obj) const;
   void CheckReadable(Gaddr obj) const;
   // Consistency-checker hook: records one client-observable event when the
-  // cluster has history recording enabled; a single branch otherwise (and
-  // nothing at all under BMX_DISABLE_HISTORY).
+  // cluster has history recording enabled; a single branch otherwise.
   void RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t value,
                      bool is_ref) const;
 
   Node* node_;
   std::vector<Gaddr> roots_;
-  bool strict_ = true;
 };
 
 }  // namespace bmx

@@ -127,6 +127,11 @@ std::shared_ptr<Probe> Datagram() {
 // Batchable kinds (src/net/batch.cc), for frames.
 std::shared_ptr<Probe> Invalidate() { return std::make_shared<Probe>(MsgKind::kInvalidate, true); }
 std::shared_ptr<Probe> Push() { return std::make_shared<Probe>(MsgKind::kObjectPush, true); }
+// A reliable kind that never rides a frame and that no DropParked below
+// names, so it survives to the replay.
+std::shared_ptr<Probe> Request() {
+  return std::make_shared<Probe>(MsgKind::kAcquireRequest, true);
+}
 
 class Sink : public MessageHandler {
  public:
@@ -283,6 +288,15 @@ TEST_P(NetworkBookkeeping, CountersAndIndexMatchARecountOnEveryPath) {
   Send(2, 3, Push(), "batched to down 3");
   Drain("park at down 3");
   EXPECT_GT(net_.HeldCount(), 0u);
+  // Channel 1->3 already holds parked entries; sends during the outage file
+  // above them.
+  size_t held = net_.HeldCount();
+  for (int i = 0; i < 4; ++i) {
+    Send(1, 3, Request(), "to down 3 behind parked");
+  }
+  Send(1, 3, Push(), "batched to down 3 behind parked");
+  Drain("park behind parked");
+  EXPECT_EQ(net_.HeldCount(), held + 5);
 
   // Batch frames parked toward the down node: one mixes two kinds, so a drop
   // of one kind rebuilds it; the other holds only the dropped kind and
@@ -308,6 +322,15 @@ TEST_P(NetworkBookkeeping, CountersAndIndexMatchARecountOnEveryPath) {
   // Re-registration replays what is still parked.
   net_.RegisterNode(3, &sinks_[3]);
   Check("register 3");
+  // A second crash while the replay is still queued parks it again.
+  EXPECT_GT(net_.PendingCount(), 0u);
+  held = net_.HeldCount();
+  net_.DisconnectNode(3);
+  Check("second crash during replay");
+  EXPECT_GT(net_.HeldCount(), held);
+  Drain("park replay at down 3");
+  net_.RegisterNode(3, &sinks_[3]);
+  Check("register 3 again");
   Drain("replay to 3");
   EXPECT_EQ(net_.UnackedCount(), 0u);
   EXPECT_GT(net_.stats().TotalRedelivered(), 0u);

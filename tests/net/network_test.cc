@@ -335,6 +335,51 @@ TEST(Network, RedeliveryAfterReconnectIsFifoAndDeduplicated) {
   EXPECT_EQ(net.UnackedCount(), 0u);
 }
 
+// Sends made while the destination is down queue behind the payloads parked
+// for it: the channel keeps numbering above them, and re-registration
+// replays every one of them once, in send order.  With batching on, the
+// frames flushed during the outage park the same way.
+void SendsToADownNodeAllArriveInOrder(bool batched) {
+  Network net(1);
+  if (batched) {
+    net.set_batch_policy(BatchPolicy{.enabled = true});
+  }
+  Recorder r;
+  net.RegisterNode(1, &r);
+  auto send = [&net](uint64_t value) {
+    auto p = std::make_shared<ReliableProbe>();
+    p->value = value;
+    net.Send(0, 1, std::move(p));
+  };
+  for (uint64_t i = 0; i < 3; ++i) {
+    send(i);
+  }
+  net.DisconnectNode(1);
+  for (uint64_t i = 3; i < 9; ++i) {
+    send(i);
+  }
+  net.RunUntilIdle();
+  EXPECT_TRUE(r.received.empty());
+
+  Recorder fresh;
+  net.RegisterNode(1, &fresh);
+  net.RunUntilIdle();
+  ASSERT_EQ(fresh.received.size(), 9u);
+  for (uint64_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(ValueOf(fresh.received[i]), i);
+  }
+  EXPECT_EQ(net.UnackedCount(), 0u);
+  EXPECT_EQ(net.stats().For(MsgKind::kAddressChange).delivered, 9u);
+}
+
+TEST(Network, SendsToADownNodeQueueBehindItsParkedTraffic) {
+  SendsToADownNodeAllArriveInOrder(/*batched=*/false);
+}
+
+TEST(Network, BatchedSendsToADownNodeQueueBehindItsParkedTraffic) {
+  SendsToADownNodeAllArriveInOrder(/*batched=*/true);
+}
+
 TEST(Network, PartitionHoldsReliableTrafficUntilHealed) {
   Network net(1);
   Recorder a;
